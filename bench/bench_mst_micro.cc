@@ -2,22 +2,15 @@
 // google-benchmark: build, CountLess and Select per tree size, plus the
 // preprocessing steps (Algorithm 1 and permutation arrays).
 //
-// Extra flags (consumed before google-benchmark sees the command line):
-//   --kernel={heap,loser}   merge kernel ablation for the build benchmarks
-//                           (default loser; heap is the seed kernel)
-//   --levels_json=PATH      additionally writes per-level build timings for
-//                           both kernels as JSON to PATH, so kernel speedups
-//                           are reproducible and trackable (BENCH_*.json)
-//   --probe_batch=N         group size for the *Batch probe benchmarks
-//                           (default MergeSortTreeOptions{}.probe_batch_size;
-//                           0 answers the same query stream scalarly, for
-//                           apples-to-apples kernel-off numbers)
+// Extra flag (consumed before google-benchmark sees the command line):
+//   --levels_json=PATH      additionally writes per-level build timings as
+//                           JSON to PATH, so build-phase changes are
+//                           reproducible and trackable (BENCH_*.json)
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,13 +26,6 @@ namespace {
 
 using namespace hwf;
 
-MergeKernel g_kernel = MergeKernel::kLoserTree;
-size_t g_probe_batch = MergeSortTreeOptions{}.probe_batch_size;
-
-const char* KernelName(MergeKernel kernel) {
-  return kernel == MergeKernel::kHeap ? "heap" : "loser";
-}
-
 std::vector<uint32_t> RandomKeys(size_t n) {
   Pcg32 rng(n);
   std::vector<uint32_t> keys(n);
@@ -51,31 +37,25 @@ void BM_TreeBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<uint32_t> keys = RandomKeys(n);
   ThreadPool single(0);
-  MergeSortTreeOptions options;
-  options.kernel = g_kernel;
   for (auto _ : state) {
-    auto tree = MergeSortTree<uint32_t>::Build(keys, options, single);
+    auto tree = MergeSortTree<uint32_t>::Build(keys, {}, single);
     benchmark::DoNotOptimize(tree.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
-  state.SetLabel(KernelName(g_kernel));
 }
 BENCHMARK(BM_TreeBuild)->Range(1 << 10, 1 << 20);
 
 // Parallel build at the paper's default f = k = 32 — the bottleneck phase
-// of Fig. 14, under the kernel selected with --kernel.
+// of Fig. 14.
 void BM_TreeBuildParallel(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<uint32_t> keys = RandomKeys(n);
-  MergeSortTreeOptions options;
-  options.kernel = g_kernel;
   for (auto _ : state) {
     auto tree =
-        MergeSortTree<uint32_t>::Build(keys, options, ThreadPool::Default());
+        MergeSortTree<uint32_t>::Build(keys, {}, ThreadPool::Default());
     benchmark::DoNotOptimize(tree.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
-  state.SetLabel(KernelName(g_kernel));
 }
 BENCHMARK(BM_TreeBuildParallel)->Range(1 << 16, 1 << 22);
 
@@ -114,10 +94,9 @@ void BM_Select(benchmark::State& state) {
 }
 BENCHMARK(BM_Select)->Range(1 << 10, 1 << 20);
 
-// The batched probe kernel over a stream of CountLess queries, group size
-// --probe_batch (0 = per-query scalar descent over the same stream). Items
-// processed = queries answered, so items/s comparisons across group sizes
-// show the pipelining win directly.
+// The batched probe kernel over a stream of CountLess queries at the
+// evaluators' group size. Items processed = queries answered, so items/s
+// compares directly with the one-query-at-a-time BM_CountLess.
 void BM_CountLessBatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<uint32_t> keys = RandomKeys(n);
@@ -132,19 +111,10 @@ void BM_CountLessBatch(benchmark::State& state) {
   }
   std::vector<size_t> out(kStream);
   for (auto _ : state) {
-    if (g_probe_batch == 0) {
-      for (size_t q = 0; q < kStream; ++q) {
-        out[q] =
-            tree.CountLess(queries[q].pos_lo, queries[q].pos_hi,
-                           queries[q].threshold);
-      }
-    } else {
-      tree.CountLessBatch(queries, g_probe_batch, out.data());
-    }
+    tree.CountLessBatch(queries, kProbeGroupSize, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(kStream) * state.iterations());
-  state.SetLabel("batch=" + std::to_string(g_probe_batch));
 }
 BENCHMARK(BM_CountLessBatch)->Range(1 << 14, 1 << 22);
 
@@ -170,18 +140,10 @@ void BM_SelectBatch(benchmark::State& state) {
   }
   std::vector<size_t> out(kStream);
   for (auto _ : state) {
-    if (g_probe_batch == 0) {
-      for (size_t q = 0; q < kStream; ++q) {
-        std::span<const KeyRange<uint32_t>> span(&range_pool[q], 1);
-        out[q] = tree.Select(span, queries[q].rank);
-      }
-    } else {
-      tree.SelectBatch(range_pool, queries, g_probe_batch, out.data());
-    }
+    tree.SelectBatch(range_pool, queries, kProbeGroupSize, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(kStream) * state.iterations());
-  state.SetLabel("batch=" + std::to_string(g_probe_batch));
 }
 BENCHMARK(BM_SelectBatch)->Range(1 << 14, 1 << 22);
 
@@ -212,12 +174,9 @@ void BM_Permutation(benchmark::State& state) {
 }
 BENCHMARK(BM_Permutation)->Range(1 << 12, 1 << 20);
 
-/// Measures one serial build per kernel at n = 2^20, f = k = 32, and
-/// writes per-level wall times (best of `reps`) as JSON:
-///   {"n":..., "fanout":32, "sampling":32,
-///    "kernels":{"heap":{"levels":[s,...],"total":s},
-///               "loser":{...}},
-///    "speedup_total": heap/loser}
+/// Measures a serial build at n = 2^20, f = k = 32, and writes per-level
+/// wall times (best of `reps`) as JSON:
+///   {"n":..., "fanout":32, "sampling":32, "levels":[s,...], "total":s}
 /// Per-level timings come from the tree build's ExecutionProfile reporting
 /// (the same channel WindowExecutorOptions::profile uses), so this file and
 /// executor profiles can never disagree about what was measured.
@@ -226,46 +185,35 @@ void WriteLevelsJson(const std::string& path) {
   const int reps = 5;
   std::vector<uint32_t> keys = RandomKeys(n);
   ThreadPool single(0);
-  std::string body = "{\n  \"n\": " + std::to_string(n) +
-                     ", \"fanout\": 32, \"sampling\": 32,\n  \"kernels\": {";
-  double totals[2] = {0, 0};
-  const MergeKernel kernels[2] = {MergeKernel::kHeap, MergeKernel::kLoserTree};
-  for (int ki = 0; ki < 2; ++ki) {
-    std::vector<double> best;
-    for (int rep = 0; rep < reps; ++rep) {
-      obs::ExecutionProfile profile;
-      MergeSortTreeOptions options;
-      options.kernel = kernels[ki];
-      options.profile = &profile;
-      auto tree = MergeSortTree<uint32_t>::Build(keys, options, single);
-      benchmark::DoNotOptimize(tree.size());
-      const std::vector<double> level_seconds = profile.tree_level_seconds();
-      if (best.empty()) best = level_seconds;
-      double total = 0, best_total = 0;
-      for (double s : level_seconds) total += s;
-      for (double s : best) best_total += s;
-      if (total < best_total) best = level_seconds;
-    }
+  std::vector<double> best;
+  double best_total = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    obs::ExecutionProfile profile;
+    MergeSortTreeOptions options;
+    options.profile = &profile;
+    auto tree = MergeSortTree<uint32_t>::Build(keys, options, single);
+    benchmark::DoNotOptimize(tree.size());
+    const std::vector<double> level_seconds = profile.tree_level_seconds();
     double total = 0;
-    std::string levels;
-    for (double s : best) {
-      if (!levels.empty()) levels += ", ";
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.6f", s);
-      levels += buf;
-      total += s;
+    for (double s : level_seconds) total += s;
+    if (best.empty() || total < best_total) {
+      best = level_seconds;
+      best_total = total;
     }
-    totals[ki] = total;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6f", total);
-    body += std::string(ki == 0 ? "" : ",") + "\n    \"" +
-            KernelName(kernels[ki]) + "\": {\"levels\": [" + levels +
-            "], \"total\": " + buf + "}";
   }
-  char speedup[32];
-  std::snprintf(speedup, sizeof speedup, "%.3f",
-                totals[1] > 0 ? totals[0] / totals[1] : 0.0);
-  body += "\n  },\n  \"speedup_total\": " + std::string(speedup) + "\n}\n";
+  std::string levels;
+  for (double s : best) {
+    if (!levels.empty()) levels += ", ";
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.6f", s);
+    levels += buf;
+  }
+  char total[32];
+  std::snprintf(total, sizeof total, "%.6f", best_total);
+  const std::string body = "{\n  \"n\": " + std::to_string(n) +
+                           ", \"fanout\": 32, \"sampling\": 32,\n" +
+                           "  \"levels\": [" + levels + "], \"total\": " +
+                           total + "\n}\n";
   if (std::FILE* f = std::fopen(path.c_str(), "w")) {
     std::fwrite(body.data(), 1, body.size(), f);
     std::fclose(f);
@@ -279,24 +227,12 @@ void WriteLevelsJson(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip our flags before handing the rest to google-benchmark.
+  // Strip our flag before handing the rest to google-benchmark.
   std::string levels_json;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
-      const char* v = argv[i] + 9;
-      if (std::strcmp(v, "heap") == 0) {
-        g_kernel = MergeKernel::kHeap;
-      } else if (std::strcmp(v, "loser") == 0) {
-        g_kernel = MergeKernel::kLoserTree;
-      } else {
-        std::fprintf(stderr, "unknown --kernel value '%s' (heap|loser)\n", v);
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--levels_json=", 14) == 0) {
+    if (std::strncmp(argv[i], "--levels_json=", 14) == 0) {
       levels_json = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--probe_batch=", 14) == 0) {
-      g_probe_batch = static_cast<size_t>(std::atoll(argv[i] + 14));
     } else {
       argv[out++] = argv[i];
     }

@@ -202,7 +202,6 @@ struct MergedSelection {
     using internal_window::PositionLess;
     std::shared_ptr<const MergedSelection> none;
     if (view.delta == nullptr || view.cache == nullptr) return none;
-    if (!view.options->tree.fuse_preprocess) return none;
 
     const std::string call_key =
         hwf::CallCacheKey(view, call, drop_null_args) + "|w" +

@@ -762,10 +762,11 @@ void MergeRun2Way(const Index* const* child_data, const size_t* child_lens,
 }
 
 /// Loser-tree k-way merge of `num_children` sorted runs into `out`, with
-/// the merge-sort-tree contract of MergeRunHeap (merge_sort_tree.h): stable
-/// tie-break by child index, cascading-pointer emission every `sampling`
-/// output positions, optional payload gather, and chunked merging via
-/// `out_offset`/`start_offsets` for the §5.2 upper-level strategy.
+/// the merge-sort-tree contract (merge_sort_tree.h): stable tie-break by
+/// child index, cascading-pointer emission every `sampling` output
+/// positions (the child offsets consumed so far), optional payload gather,
+/// and chunked merging via `out_offset`/`start_offsets` for the §5.2
+/// upper-level strategy.
 template <typename Index, typename Payload, bool kHasPayload>
 void MergeRunLoserTree(MergeScratch<Index, Payload>& scratch,
                        const Index* const* child_data, const size_t* child_lens,

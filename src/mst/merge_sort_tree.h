@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
@@ -26,16 +25,6 @@
 
 namespace hwf {
 
-/// Which k-way merge kernel the build phase uses. The loser tree is the
-/// production kernel (⌈log₂ f⌉ comparisons per element over a flat,
-/// cache-resident tournament array); the binary-heap kernel is retained as
-/// the reference implementation for differential tests and the
-/// --kernel=heap bench ablation.
-enum class MergeKernel {
-  kLoserTree,
-  kHeap,
-};
-
 /// Tuning parameters of a merge sort tree (paper §5.1, §6.6).
 struct MergeSortTreeOptions {
   /// Fanout f: each tree level merges `fanout` runs of the level below.
@@ -53,33 +42,6 @@ struct MergeSortTreeOptions {
   /// a full binary search). Only used by the ablation benchmark; turns the
   /// O(n log n) query phase into O(n log² n) as discussed in §4.2.
   bool use_cascading = true;
-
-  /// Merge kernel for the build phase. kLoserTree is strictly faster;
-  /// kHeap exists for differential testing and bench ablations.
-  MergeKernel kernel = MergeKernel::kLoserTree;
-
-  /// Number of probe queries kept in flight by the batched probe kernel
-  /// (probe_batch.h): the window-function evaluators collect a morsel of
-  /// rows' queries and walk them through the tree level-by-level in
-  /// lockstep, prefetching every query's next touch points one round ahead.
-  /// 0 disables batching entirely — the scalar per-row descent is kept as
-  /// the differential reference path. Results are bit-identical either way.
-  size_t probe_batch_size = 16;
-
-  /// Runs the preprocessing sorts (and the external-sort run merge under a
-  /// memory budget) through the offset-value-coded merge kernel
-  /// (loser_tree.h): bit-identical order, most comparisons resolved by one
-  /// integer compare. Disable to run the uncoded reference merges; ignored
-  /// where 128-bit integer support is unavailable.
-  bool use_ovc = true;
-
-  /// Derives prevIdcs / nextIdcs / permutation / dense & unique codes from
-  /// ONE shared record sort (mst/preprocess.h) instead of re-sorting per
-  /// artifact. Disable to run the legacy per-artifact pipeline
-  /// (prev_index.h / permutation.h), kept as the differential reference.
-  /// Evaluators whose comparator cannot be encoded into sortable records
-  /// fall back to the legacy path regardless of this flag.
-  bool fuse_preprocess = true;
 
   /// When non-null, the build reports into this profile: per-level
   /// wall-clock seconds via AddTreeLevelSeconds (index 0 = level 1 and so
@@ -106,71 +68,33 @@ struct KeyRange {
   Index hi;
 };
 
+/// Queries the window-function evaluators keep in flight per batched probe
+/// (the `group_size` of SelectBatch / CountLessBatch / VisitCountCoverBatch).
+/// Each descent is a chain of dependent cache misses; throughput saturates
+/// around the line-fill-buffer depth (10-16 on most cores).
+inline constexpr size_t kProbeGroupSize = 16;
+
 namespace internal_mst {
 
 /// Merges `num_children` sorted child runs into `out`, breaking key ties by
 /// child index (which equals position order, making every level a stable
 /// sort of level 0). When `cascade_out` is non-null, the current child
-/// offsets are recorded every `sampling` output elements. When `Payload` is
-/// non-void-like (HasPayload), payload values travel with their keys.
+/// offsets are recorded every `sampling` output elements. When `kHasPayload`,
+/// payload values travel with their keys.
 ///
 /// To merge one CHUNK of a larger run in parallel (§5.2 upper-level
 /// strategy), pass the chunk's starting position within the run as
 /// `out_offset` and the per-child starting offsets (from MultiwaySelect)
 /// as `start_offsets`; `out`/`cascade_out` still point at the run start.
 ///
-/// This is the reference binary-heap kernel (MergeKernel::kHeap): two heap
-/// operations per output element. Production builds route through
-/// MergeRunLoserTree (loser_tree.h), which must stay byte-identical —
-/// tests/merge_kernel_test.cc checks the two differentially.
-template <typename Index, typename Payload, bool kHasPayload>
-void MergeRunHeap(const Index* const* child_data, const size_t* child_lens,
-                  size_t num_children, Index* out, size_t out_len,
-                  Index* cascade_out, size_t sampling, size_t fanout,
-                  const Payload* const* child_payload, Payload* out_payload,
-                  size_t out_offset = 0, const size_t* start_offsets = nullptr) {
-  // (key, child) min-heap; pair comparison breaks ties on the child index.
-  using Entry = std::pair<Index, uint32_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  std::vector<size_t> offsets(num_children, 0);
-  for (size_t c = 0; c < num_children; ++c) {
-    if (start_offsets != nullptr) offsets[c] = start_offsets[c];
-    if (offsets[c] < child_lens[c]) {
-      heap.push({child_data[c][offsets[c]], static_cast<uint32_t>(c)});
-    }
-  }
-  for (size_t o = out_offset; o < out_offset + out_len; ++o) {
-    if (cascade_out != nullptr && o % sampling == 0) {
-      Index* slot = cascade_out + (o / sampling) * fanout;
-      for (size_t c = 0; c < num_children; ++c) {
-        slot[c] = static_cast<Index>(offsets[c]);
-      }
-      for (size_t c = num_children; c < fanout; ++c) slot[c] = 0;
-    }
-    auto [key, child] = heap.top();
-    heap.pop();
-    out[o] = key;
-    if constexpr (kHasPayload) {
-      out_payload[o] = child_payload[child][offsets[child]];
-    }
-    size_t next = ++offsets[child];
-    if (next < child_lens[child]) {
-      heap.push({child_data[child][next], child});
-    }
-  }
-}
-
-/// Routes one run (or chunk) merge to the configured kernel, applying the
-/// small-arity fast paths of the loser-tree kernel:
+/// Applies the small-arity fast paths of the loser-tree kernel:
 ///   - `leaf_children` (level 1, every child a single element): merging is
 ///     sorting — std::copy + std::sort for plain keys, an index sort with
 ///     payload gather otherwise. Level 1 never carries cascade pointers.
 ///   - 1 and 2 children: straight copy / branchless 2-way merge inside
 ///     MergeRunLoserTree.
-/// The heap kernel takes none of the fast paths so ablations measure the
-/// pure heap merge.
 template <typename Index, typename Payload, bool kHasPayload>
-void MergeRunDispatch(MergeKernel kernel, bool leaf_children,
+void MergeRunDispatch(bool leaf_children,
                       MergeScratch<Index, Payload>& scratch,
                       const Index* const* child_data, const size_t* child_lens,
                       size_t num_children, Index* out, size_t out_len,
@@ -178,13 +102,6 @@ void MergeRunDispatch(MergeKernel kernel, bool leaf_children,
                       const Payload* const* child_payload,
                       Payload* out_payload, size_t out_offset = 0,
                       const size_t* start_offsets = nullptr) {
-  if (kernel == MergeKernel::kHeap) {
-    MergeRunHeap<Index, Payload, kHasPayload>(
-        child_data, child_lens, num_children, out, out_len, cascade_out,
-        sampling, fanout, child_payload, out_payload, out_offset,
-        start_offsets);
-    return;
-  }
   if (leaf_children && start_offsets == nullptr && cascade_out == nullptr) {
     if constexpr (kHasPayload) {
       // Sort a permutation by (key, child index) — the stable merge order —
@@ -593,7 +510,6 @@ MergeSortTree<Index> MergeSortTree<Index>::BuildWithPayload(
   HWF_TRACE_SCOPE_ARG("mst.build", "n", n);
   const size_t f = options.fanout;
   const size_t k = options.sampling;
-  const MergeKernel kernel = options.kernel;
   // Per-level wall timing only runs when someone consumes it: a profile is
   // attached or spans are being recorded.
   const bool time_levels =
@@ -670,22 +586,13 @@ MergeSortTree<Index> MergeSortTree<Index>::BuildWithPayload(
                       : nullptr;
               if (has_payload) {
                 internal_mst::MergeRunDispatch<Index, Payload, true>(
-                    kernel, leaf_children, scratch, scratch.child_data.data(),
+                    leaf_children, scratch, scratch.child_data.data(),
                     scratch.child_lens.data(), num_children,
                     out.data.MutableData() + begin, end - begin, cascade_out, k, f,
                     scratch.child_payload.data(), out_payload.data() + begin);
-              } else if (kernel == MergeKernel::kHeap && leaf_children &&
-                         cascade_out == nullptr) {
-                // Level 1 fast path: merging single elements == sorting.
-                // (Kept outside the kernel dispatch so the heap ablation
-                // still measures what the seed implementation measured.)
-                std::copy(scratch.child_data[0],
-                          scratch.child_data[0] + (end - begin),
-                          out.data.MutableData() + begin);
-                std::sort(out.data.MutableData() + begin, out.data.MutableData() + end);
               } else {
                 internal_mst::MergeRunDispatch<Index, Payload, false>(
-                    kernel, leaf_children, scratch, scratch.child_data.data(),
+                    leaf_children, scratch, scratch.child_data.data(),
                     scratch.child_lens.data(), num_children,
                     out.data.MutableData() + begin, end - begin, cascade_out, k, f,
                     nullptr, nullptr);
@@ -736,14 +643,14 @@ MergeSortTree<Index> MergeSortTree<Index>::BuildWithPayload(
           group.Run([&, chunk, k0, k1] {
             if (has_payload) {
               internal_mst::MergeRunDispatch<Index, Payload, true>(
-                  kernel, leaf_children, chunk_scratch[chunk],
+                  leaf_children, chunk_scratch[chunk],
                   child_data.data(), child_lens.data(), num_children,
                   out.data.MutableData() + begin, k1 - k0, cascade_out, k, f,
                   child_payload.data(), out_payload.data() + begin, k0,
                   chunk_offsets[chunk].data());
             } else {
               internal_mst::MergeRunDispatch<Index, Payload, false>(
-                  kernel, leaf_children, chunk_scratch[chunk],
+                  leaf_children, chunk_scratch[chunk],
                   child_data.data(), child_lens.data(), num_children,
                   out.data.MutableData() + begin, k1 - k0, cascade_out, k, f,
                   nullptr, nullptr, k0, chunk_offsets[chunk].data());

@@ -147,8 +147,7 @@ void EmitFromSorted(const std::vector<Rec>& sorted,
 template <typename Index>
 PreprocessResult<Index> PreprocessHashedCodes(
     std::span<const uint64_t> codes, const PreprocessRequest& req,
-    ThreadPool& pool, bool use_ovc = true,
-    obs::ExecutionProfile* profile = nullptr) {
+    ThreadPool& pool, obs::ExecutionProfile* profile = nullptr) {
   const size_t n = codes.size();
   HWF_TRACE_SCOPE_ARG("mst.preprocess_fused", "n", n);
   using Rec = std::pair<uint64_t, Index>;
@@ -168,7 +167,8 @@ PreprocessResult<Index> PreprocessHashedCodes(
     // word sequence is exactly that order, so OVC applies.
     ParallelSort(
         sorted, [](const Rec& a, const Rec& b) { return a < b; }, pool,
-        kDefaultMorselSize, PartitionScheme::kThreeWay, nullptr, use_ovc);
+        kDefaultMorselSize, PartitionScheme::kThreeWay, nullptr,
+        /*use_ovc=*/true);
   }
   PreprocessResult<Index> result;
   {
@@ -216,7 +216,7 @@ struct OrderKeyRec {
 template <typename Index, typename Get>
 PreprocessResult<Index> PreprocessOrderKeys(
     size_t n, Get get, const PreprocessRequest& req, ThreadPool& pool,
-    bool use_ovc = true, obs::ExecutionProfile* profile = nullptr) {
+    obs::ExecutionProfile* profile = nullptr) {
   HWF_TRACE_SCOPE_ARG("mst.preprocess_fused", "n", n);
   using Rec = OrderKeyRec<Index>;
   std::vector<Rec> sorted(n);
@@ -234,7 +234,8 @@ PreprocessResult<Index> PreprocessOrderKeys(
         pool);
     ParallelSort(
         sorted, [](const Rec& a, const Rec& b) { return a < b; }, pool,
-        kDefaultMorselSize, PartitionScheme::kThreeWay, nullptr, use_ovc);
+        kDefaultMorselSize, PartitionScheme::kThreeWay, nullptr,
+        /*use_ovc=*/true);
   }
   PreprocessResult<Index> result;
   {

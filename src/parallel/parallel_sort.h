@@ -134,8 +134,6 @@ void OvcSortRange(T* data, size_t n, Less less, ThreadPool& pool,
                   size_t run_size, PartitionScheme scheme, T* scratch,
                   mem::MemoryBudget* budget) {
   HWF_TRACE_SCOPE_ARG("sort.ovc_sort", "n", n);
-  mem::MemoryReservation code_bytes;
-  code_bytes.ForceReserve(budget, 2 * n * sizeof(OvcCode));
   // Default-initialized on purpose: zeroing 2n codes is a full extra pass
   // over memory, and phase 1 / each merge round overwrite every slot
   // before it is read.
@@ -271,12 +269,12 @@ void OvcSortRange(T* data, size_t n, Less less, ThreadPool& pool,
 /// of ParallelSort: callers own both buffers, so external sorts can run it
 /// over budget-reserved chunks. Per-task merge scratch is drawn from
 /// ChunkArenas accounted against `budget` (null = unaccounted).
-/// When `use_ovc` is true and T has OvcTraits, the merge rounds run the
-/// offset-value-coded kernel (internal_sort::OvcSortRange) — bit-identical
-/// output, fewer full-key comparisons. Callers must only pass use_ovc for
-/// comparators that order exactly like the OVC word sequence; without
-/// 128-bit integer support the flag is ignored and the uncoded reference
-/// path runs.
+/// When `use_ovc` is true, T has OvcTraits and `budget` grants the code
+/// arrays, the merge rounds run the offset-value-coded kernel
+/// (internal_sort::OvcSortRange) — bit-identical output, fewer full-key
+/// comparisons. Callers must only pass use_ovc for comparators that order
+/// exactly like the OVC word sequence; otherwise, and without 128-bit
+/// integer support, the uncoded merge runs.
 template <typename T, typename Less>
 void ParallelSortRange(T* data, size_t n, Less less, ThreadPool& pool,
                        size_t run_size, PartitionScheme scheme, T* scratch,
@@ -291,7 +289,11 @@ void ParallelSortRange(T* data, size_t n, Less less, ThreadPool& pool,
   HWF_CHECK_MSG(scratch != nullptr, "ParallelSortRange needs merge scratch");
 #if defined(HWF_HAS_OVC)
   if constexpr (kHasOvcTraits<T>) {
-    if (use_ovc) {
+    // The coded merge keeps two n-element code arrays beside the data. A
+    // budget that cannot grant them gets the uncoded merge, which produces
+    // the same order without them.
+    mem::MemoryReservation code_bytes;
+    if (use_ovc && code_bytes.Reserve(budget, 2 * n * sizeof(OvcCode)).ok()) {
       internal_sort::OvcSortRange(data, n, less, pool, run_size, scheme,
                                   scratch, budget);
       return;

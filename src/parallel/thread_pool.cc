@@ -1,5 +1,6 @@
 #include "parallel/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/macros.h"
@@ -9,12 +10,7 @@
 namespace hwf {
 
 ThreadPool::ThreadPool(int num_threads) {
-  if (num_threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    num_threads = hw > 1 ? static_cast<int>(hw) - 1 : 0;
-  } else if (num_threads < 0) {
-    num_threads = 0;  // explicitly worker-less: ParallelFor runs inline
-  }
+  num_threads = std::max(num_threads, 0);
   workers_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -34,10 +30,10 @@ ThreadPool::~ThreadPool() {
 
 ThreadPool& ThreadPool::Default() {
   static ThreadPool* pool = [] {
-    int threads = 0;
+    const unsigned hw = std::thread::hardware_concurrency();
+    int threads = hw > 1 ? static_cast<int>(hw) - 1 : 0;
     if (const char* env = std::getenv("HWF_THREADS")) {
       threads = std::atoi(env);
-      if (threads < 0) threads = 0;
     }
     return new ThreadPool(threads);
   }();
@@ -99,18 +95,21 @@ void TaskGroup::Run(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(pool_.mutex_);
     ++pending_;
   }
-  pool_.Submit([this, task = std::move(task)] {
+  ThreadPool* pool = &pool_;
+  pool_.Submit([this, pool, task = std::move(task)] {
     task();
     bool done;
     {
-      std::lock_guard<std::mutex> lock(pool_.mutex_);
+      std::lock_guard<std::mutex> lock(pool->mutex_);
       done = --pending_ == 0;
     }
-    // The waiter checks pending_ under pool_.mutex_, so notifying after the
-    // unlock cannot lose a wakeup. Broadcast only on the group's last task:
-    // the waiter shares the pool's condition variable, so notify_one could
-    // hand the wakeup to an idle worker instead.
-    if (done) pool_.cv_.notify_all();
+    // Once the decrement is unlocked, Wait() may return and destroy this
+    // group, so only the pool (which outlives its tasks) is touched below.
+    // The waiter checks pending_ under the pool mutex, so notifying after
+    // the unlock cannot lose a wakeup. Broadcast only on the group's last
+    // task: the waiter shares the pool's condition variable, so notify_one
+    // could hand the wakeup to an idle worker instead.
+    if (done) pool->cv_.notify_all();
   });
 }
 

@@ -21,22 +21,21 @@ namespace hwf {
 /// serial execution.
 class ThreadPool {
  public:
-  /// Creates a pool with `num_threads` workers. `num_threads == 0` uses
-  /// std::thread::hardware_concurrency() - 1 (the caller thread acts as the
-  /// remaining worker in ParallelFor). A negative count creates a
-  /// worker-less pool: every ParallelFor over it runs inline on the
-  /// calling thread, which is the deterministic serial baseline used by
-  /// differential tests and the executor's per-partition tasks.
-  explicit ThreadPool(int num_threads = 0);
+  /// Creates a pool with exactly max(`num_threads`, 0) workers. A
+  /// worker-less pool runs every ParallelFor inline on the calling thread,
+  /// which is the deterministic serial baseline used by differential tests
+  /// and the executor's per-partition tasks.
+  explicit ThreadPool(int num_threads);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   ~ThreadPool();
 
-  /// Process-wide default pool. Worker count can be overridden with the
-  /// HWF_THREADS environment variable (useful for exercising multi-threaded
-  /// code paths on machines with few cores).
+  /// Process-wide default pool with hardware_concurrency() - 1 workers (the
+  /// caller thread acts as the remaining worker in ParallelFor). The
+  /// HWF_THREADS environment variable overrides the worker count (useful
+  /// for exercising multi-threaded code paths on machines with few cores).
   static ThreadPool& Default();
 
   /// Number of worker threads (excluding the caller thread).

@@ -571,7 +571,7 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
       Status sort_status = mem::SortWithBudget(
           records, [](const SortRec& a, const SortRec& b) { return a < b; },
           pool, mem_ctx, options.morsel_size, PartitionScheme::kThreeWay,
-          exec_options.tree.use_ovc);
+          /*use_ovc=*/true);
       if (!sort_status.ok()) return sort_status;
       ParallelFor(
           0, n,

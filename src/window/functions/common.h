@@ -32,10 +32,10 @@ Status DispatchIndexWidth(size_t n, int force, Fn&& fn) {
   return fn(uint64_t{0});
 }
 
-/// Rows per gather/probe/emit cycle in the batched window-function paths
-/// (MergeSortTreeOptions::probe_batch_size > 0). Bounds the per-thread
-/// query and range scratch while keeping enough queries around to refill
-/// the probe kernel's in-flight group many times over.
+/// Rows per gather/probe/emit cycle in the batched window-function paths.
+/// Bounds the per-thread query and range scratch while keeping enough
+/// queries around to refill the probe kernel's in-flight group many times
+/// over.
 inline constexpr size_t kProbeChunkRows = 512;
 
 /// Prefetch distance for the index hops that follow a batched probe

@@ -42,12 +42,12 @@ struct DenseRankArtifact {
     {
       obs::ScopedPhaseTimer timer(view.options->profile,
                                   obs::ProfilePhase::kPreprocess);
-      if (view.options->tree.fuse_preprocess && less.encoded()) {
+      if (less.encoded()) {
         PreprocessRequest req;
         req.want_dense = true;
         PreprocessResult<Index> pre = PreprocessOrderKeys<Index>(
             n, [&less](size_t i) { return less.EncodedKey(i); }, req,
-            *view.pool, view.options->tree.use_ovc, view.options->profile);
+            *view.pool, view.options->profile);
         result.codes = std::move(pre.dense_codes);
       } else {
         obs::ScopedPreprocessStepTimer legacy_timer(
@@ -103,53 +103,37 @@ Status EvalDenseRankT(const PartitionView& view,
   const std::vector<Index>& codes = (*artifact_or)->codes;
   const DenseRankTree<Index>& tree = (*artifact_or)->tree;
 
-  const size_t batch = view.options->tree.probe_batch_size;
   ParallelFor(
       0, n,
       [&](size_t lo, size_t hi) {
         RowRange ranges[FrameRanges::kMaxRanges];
-        if (batch > 0) {
-          // Batched path: each chunk's distinct counts run through the
-          // range tree's grouped kernel (per-level batched MST counts).
-          std::vector<typename DenseRankTree<Index>::DistinctQuery> queries;
-          std::vector<size_t> rows;
-          std::vector<size_t> smaller;
-          for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
-            const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
-            queries.clear();
-            rows.clear();
-            for (size_t i = chunk; i < chunk_end; ++i) {
-              const size_t num_ranges =
-                  MapRangesToFiltered(view.frames[i], remap, ranges);
-              HWF_CHECK_MSG(num_ranges <= 1,
-                            "dense_rank does not support frame exclusion");
-              if (num_ranges == 0) {
-                out->SetInt64(view.rows[i], 1);
-                continue;
-              }
-              queries.push_back(
-                  {ranges[0].begin, ranges[0].end, codes[i]});
-              rows.push_back(view.rows[i]);
+        // Each chunk's distinct counts run through the range tree's
+        // grouped kernel (per-level batched MST counts).
+        std::vector<typename DenseRankTree<Index>::DistinctQuery> queries;
+        std::vector<size_t> rows;
+        std::vector<size_t> smaller;
+        for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
+          const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
+          queries.clear();
+          rows.clear();
+          for (size_t i = chunk; i < chunk_end; ++i) {
+            const size_t num_ranges =
+                MapRangesToFiltered(view.frames[i], remap, ranges);
+            HWF_CHECK_MSG(num_ranges <= 1,
+                          "dense_rank does not support frame exclusion");
+            if (num_ranges == 0) {
+              out->SetInt64(view.rows[i], 1);
+              continue;
             }
-            smaller.resize(queries.size());
-            tree.CountDistinctLessBatch(queries, batch, smaller.data());
-            for (size_t q = 0; q < queries.size(); ++q) {
-              out->SetInt64(rows[q], static_cast<int64_t>(smaller[q]) + 1);
-            }
+            queries.push_back(
+                {ranges[0].begin, ranges[0].end, codes[i]});
+            rows.push_back(view.rows[i]);
           }
-          return;
-        }
-        for (size_t i = lo; i < hi; ++i) {
-          const size_t num_ranges =
-              MapRangesToFiltered(view.frames[i], remap, ranges);
-          HWF_CHECK_MSG(num_ranges <= 1,
-                        "dense_rank does not support frame exclusion");
-          size_t smaller = 0;
-          if (num_ranges == 1) {
-            smaller = tree.CountDistinctLess(ranges[0].begin, ranges[0].end,
-                                             codes[i]);
+          smaller.resize(queries.size());
+          tree.CountDistinctLessBatch(queries, kProbeGroupSize, smaller.data());
+          for (size_t q = 0; q < queries.size(); ++q) {
+            out->SetInt64(rows[q], static_cast<int64_t>(smaller[q]) + 1);
           }
-          out->SetInt64(view.rows[i], static_cast<int64_t>(smaller) + 1);
         }
       },
       *view.pool, view.options->morsel_size);

@@ -8,7 +8,6 @@
 #include "mst/annotated_mst.h"
 #include "mst/merge_sort_tree.h"
 #include "mst/preprocess.h"
-#include "mst/prev_index.h"
 #include "obs/profile.h"
 #include "window/evaluator.h"
 #include "window/functions/common.h"
@@ -38,8 +37,8 @@ namespace {
 
 /// Shared preprocessing front half of the distinct evaluators: hash the
 /// argument column, then derive prevIdcs (and nextIdcs under exclusion)
-/// either through the fused single-sort pipeline or the legacy per-artifact
-/// sorts, as configured. Caller wraps this in the kPreprocess phase timer.
+/// through the fused single-sort pipeline. Caller wraps this in the
+/// kPreprocess phase timer.
 template <typename Index>
 void DistinctPreprocess(const PartitionView& view, size_t argument,
                         const IndexRemap& remap, bool has_exclusion,
@@ -51,20 +50,13 @@ void DistinctPreprocess(const PartitionView& view, size_t argument,
         profile, obs::PreprocessStep::kGatherCodes);
     *codes = GatherArgumentCodes(view, argument, remap);
   }
-  if (view.options->tree.fuse_preprocess) {
-    PreprocessRequest req;
-    req.want_prev = true;
-    req.want_next = has_exclusion;
-    PreprocessResult<Index> pre = PreprocessHashedCodes<Index>(
-        *codes, req, *view.pool, view.options->tree.use_ovc, profile);
-    *prev = std::move(pre.prev);
-    *next = std::move(pre.next);
-  } else {
-    obs::ScopedPreprocessStepTimer legacy_timer(profile,
-                                                obs::PreprocessStep::kLegacy);
-    *prev = ComputePrevIndices<Index>(*codes, *view.pool);
-    if (has_exclusion) *next = ComputeNextIndices<Index>(*codes, *view.pool);
-  }
+  PreprocessRequest req;
+  req.want_prev = true;
+  req.want_next = has_exclusion;
+  PreprocessResult<Index> pre =
+      PreprocessHashedCodes<Index>(*codes, req, *view.pool, profile);
+  *prev = std::move(pre.prev);
+  *next = std::move(pre.next);
 }
 
 }  // namespace
@@ -142,75 +134,56 @@ Status EvalCountDistinctT(const PartitionView& view,
   // and cascade offsets are garbage.
   if (Status stop = CheckStop(); !stop.ok()) return stop;
 
-  const size_t batch = view.options->tree.probe_batch_size;
   ParallelFor(
       0, view.size(),
       [&](size_t lo, size_t hi) {
         RowRange ranges[FrameRanges::kMaxRanges];
-        if (batch > 0) {
-          // Batched path: one CountLess query per frame range per chunk
-          // row; counts are integer sums, so the per-range addition order
-          // is immaterial. Gap corrections stay scalar (O(gap) walks).
-          struct RowTask {
-            size_t view_index;
-            uint32_t range_begin;
-            uint32_t num_ranges;
-          };
-          std::vector<typename MergeSortTree<Index>::CountQuery> queries;
-          std::vector<RowRange> range_pool;
-          std::vector<RowTask> tasks;
-          std::vector<size_t> counts;
-          for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
-            const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
-            queries.clear();
-            range_pool.clear();
-            tasks.clear();
-            for (size_t i = chunk; i < chunk_end; ++i) {
-              const size_t num_ranges =
-                  MapRangesToFiltered(view.frames[i], remap, ranges);
-              if (num_ranges == 0) {
-                out->SetInt64(view.rows[i], 0);
-                continue;
-              }
-              const Index threshold = static_cast<Index>(ranges[0].begin + 1);
-              tasks.push_back({i, static_cast<uint32_t>(range_pool.size()),
-                               static_cast<uint32_t>(num_ranges)});
-              range_pool.insert(range_pool.end(), ranges,
-                                ranges + num_ranges);
-              for (size_t r = 0; r < num_ranges; ++r) {
-                queries.push_back(
-                    {ranges[r].begin, ranges[r].end, threshold});
-              }
+        // One batched CountLess query per frame range per chunk row; counts
+        // are integer sums, so the per-range addition order is immaterial.
+        // Gap corrections stay scalar (O(gap) walks).
+        struct RowTask {
+          size_t view_index;
+          uint32_t range_begin;
+          uint32_t num_ranges;
+        };
+        std::vector<typename MergeSortTree<Index>::CountQuery> queries;
+        std::vector<RowRange> range_pool;
+        std::vector<RowTask> tasks;
+        std::vector<size_t> counts;
+        for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
+          const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
+          queries.clear();
+          range_pool.clear();
+          tasks.clear();
+          for (size_t i = chunk; i < chunk_end; ++i) {
+            const size_t num_ranges =
+                MapRangesToFiltered(view.frames[i], remap, ranges);
+            if (num_ranges == 0) {
+              out->SetInt64(view.rows[i], 0);
+              continue;
             }
-            counts.resize(queries.size());
-            tree.CountLessBatch(queries, batch, counts.data());
-            size_t q = 0;
-            for (const RowTask& task : tasks) {
-              size_t count = 0;
-              for (size_t r = 0; r < task.num_ranges; ++r) count += counts[q++];
-              ForEachGapCorrection<Index>(range_pool.data() + task.range_begin,
-                                          task.num_ranges, prev, next,
-                                          [&](size_t) { ++count; });
-              out->SetInt64(view.rows[task.view_index],
-                            static_cast<int64_t>(count));
-            }
-          }
-          return;
-        }
-        for (size_t i = lo; i < hi; ++i) {
-          const size_t num_ranges =
-              MapRangesToFiltered(view.frames[i], remap, ranges);
-          size_t count = 0;
-          if (num_ranges > 0) {
             const Index threshold = static_cast<Index>(ranges[0].begin + 1);
+            tasks.push_back({i, static_cast<uint32_t>(range_pool.size()),
+                             static_cast<uint32_t>(num_ranges)});
+            range_pool.insert(range_pool.end(), ranges,
+                              ranges + num_ranges);
             for (size_t r = 0; r < num_ranges; ++r) {
-              count += tree.CountLess(ranges[r].begin, ranges[r].end,
-                                      threshold);
+              queries.push_back(
+                  {ranges[r].begin, ranges[r].end, threshold});
             }
-            ForEachGapCorrection<Index>(ranges, num_ranges, prev, next,
-                                        [&](size_t) { ++count; });
           }
-          out->SetInt64(view.rows[i], static_cast<int64_t>(count));
+          counts.resize(queries.size());
+          tree.CountLessBatch(queries, kProbeGroupSize, counts.data());
+          size_t q = 0;
+          for (const RowTask& task : tasks) {
+            size_t count = 0;
+            for (size_t r = 0; r < task.num_ranges; ++r) count += counts[q++];
+            ForEachGapCorrection<Index>(range_pool.data() + task.range_begin,
+                                        task.num_ranges, prev, next,
+                                        [&](size_t) { ++count; });
+            out->SetInt64(view.rows[task.view_index],
+                          static_cast<int64_t>(count));
+          }
         }
       },
       *view.pool, view.options->morsel_size);
@@ -252,87 +225,53 @@ Status EvalDistinctAggregateT(const PartitionView& view,
   // A build cut short by cancellation must never be probed (see above).
   if (Status stop = CheckStop(); !stop.ok()) return stop;
 
-  const size_t batch = view.options->tree.probe_batch_size;
   ParallelFor(
       0, view.size(),
       [&](size_t lo, size_t hi) {
         RowRange ranges[FrameRanges::kMaxRanges];
-        if (batch > 0) {
-          // Batched path: one AggregateLess query per frame range per chunk
-          // row. The kernel merges each query's cover pieces in the scalar
-          // visit order and the per-row merge below folds the per-range
-          // states in range order, so floating-point states are
-          // bit-identical to the scalar path. Gap corrections stay scalar.
-          struct RowTask {
-            size_t view_index;
-            uint32_t range_begin;
-            uint32_t num_ranges;
-          };
-          std::vector<typename MergeSortTree<Index>::CountQuery> queries;
-          std::vector<RowRange> range_pool;
-          std::vector<RowTask> tasks;
-          std::vector<std::optional<State>> pieces;
-          for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
-            const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
-            queries.clear();
-            range_pool.clear();
-            tasks.clear();
-            for (size_t i = chunk; i < chunk_end; ++i) {
-              const size_t num_ranges =
-                  MapRangesToFiltered(view.frames[i], remap, ranges);
-              if (num_ranges == 0) {
-                write(view.rows[i], std::optional<State>());
-                continue;
-              }
-              const Index threshold = static_cast<Index>(ranges[0].begin + 1);
-              tasks.push_back({i, static_cast<uint32_t>(range_pool.size()),
-                               static_cast<uint32_t>(num_ranges)});
-              range_pool.insert(range_pool.end(), ranges,
-                                ranges + num_ranges);
-              for (size_t r = 0; r < num_ranges; ++r) {
-                queries.push_back(
-                    {ranges[r].begin, ranges[r].end, threshold});
-              }
+        // One batched AggregateLess query per frame range per chunk row.
+        // The kernel merges each query's cover pieces in the scalar visit
+        // order and the per-row merge below folds the per-range states in
+        // range order, so floating-point states are bit-identical to the
+        // scalar AggregateLess. Gap corrections stay scalar.
+        struct RowTask {
+          size_t view_index;
+          uint32_t range_begin;
+          uint32_t num_ranges;
+        };
+        std::vector<typename MergeSortTree<Index>::CountQuery> queries;
+        std::vector<RowRange> range_pool;
+        std::vector<RowTask> tasks;
+        std::vector<std::optional<State>> pieces;
+        for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
+          const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
+          queries.clear();
+          range_pool.clear();
+          tasks.clear();
+          for (size_t i = chunk; i < chunk_end; ++i) {
+            const size_t num_ranges =
+                MapRangesToFiltered(view.frames[i], remap, ranges);
+            if (num_ranges == 0) {
+              write(view.rows[i], std::optional<State>());
+              continue;
             }
-            pieces.assign(queries.size(), std::optional<State>());
-            tree.AggregateLessBatch(queries, batch, pieces.data());
-            size_t q = 0;
-            for (const RowTask& task : tasks) {
-              std::optional<State> state;
-              for (size_t r = 0; r < task.num_ranges; ++r) {
-                const std::optional<State>& piece = pieces[q++];
-                if (piece.has_value()) {
-                  if (state.has_value()) {
-                    Ops::Merge(*state, *piece);
-                  } else {
-                    state = *piece;
-                  }
-                }
-              }
-              ForEachGapCorrection<Index>(
-                  range_pool.data() + task.range_begin, task.num_ranges,
-                  prev_copy, next, [&](size_t pos) {
-                    const State piece = Ops::MakeState(get_input(pos));
-                    if (state.has_value()) {
-                      Ops::Merge(*state, piece);
-                    } else {
-                      state = piece;
-                    }
-                  });
-              write(view.rows[task.view_index], state);
+            const Index threshold = static_cast<Index>(ranges[0].begin + 1);
+            tasks.push_back({i, static_cast<uint32_t>(range_pool.size()),
+                             static_cast<uint32_t>(num_ranges)});
+            range_pool.insert(range_pool.end(), ranges,
+                              ranges + num_ranges);
+            for (size_t r = 0; r < num_ranges; ++r) {
+              queries.push_back(
+                  {ranges[r].begin, ranges[r].end, threshold});
             }
           }
-          return;
-        }
-        for (size_t i = lo; i < hi; ++i) {
-          const size_t num_ranges =
-              MapRangesToFiltered(view.frames[i], remap, ranges);
-          std::optional<State> state;
-          if (num_ranges > 0) {
-            const Index threshold = static_cast<Index>(ranges[0].begin + 1);
-            for (size_t r = 0; r < num_ranges; ++r) {
-              std::optional<State> piece = tree.AggregateLess(
-                  ranges[r].begin, ranges[r].end, threshold);
+          pieces.assign(queries.size(), std::optional<State>());
+          tree.AggregateLessBatch(queries, kProbeGroupSize, pieces.data());
+          size_t q = 0;
+          for (const RowTask& task : tasks) {
+            std::optional<State> state;
+            for (size_t r = 0; r < task.num_ranges; ++r) {
+              const std::optional<State>& piece = pieces[q++];
               if (piece.has_value()) {
                 if (state.has_value()) {
                   Ops::Merge(*state, *piece);
@@ -342,7 +281,8 @@ Status EvalDistinctAggregateT(const PartitionView& view,
               }
             }
             ForEachGapCorrection<Index>(
-                ranges, num_ranges, prev_copy, next, [&](size_t pos) {
+                range_pool.data() + task.range_begin, task.num_ranges,
+                prev_copy, next, [&](size_t pos) {
                   const State piece = Ops::MakeState(get_input(pos));
                   if (state.has_value()) {
                     Ops::Merge(*state, piece);
@@ -350,8 +290,8 @@ Status EvalDistinctAggregateT(const PartitionView& view,
                     state = piece;
                   }
                 });
+            write(view.rows[task.view_index], state);
           }
-          write(view.rows[i], state);
         }
       },
       *view.pool, view.options->morsel_size);

@@ -49,7 +49,6 @@ Status EvalLeadLagT(const PartitionView& view, const WindowFunctionCall& call,
     }
   }
 
-  const size_t batch = view.options->tree.probe_batch_size;
   auto emit = [&](size_t row, size_t selected) {
     if (arg.IsNull(selected)) {
       out->SetNull(row);
@@ -72,131 +71,97 @@ Status EvalLeadLagT(const PartitionView& view, const WindowFunctionCall& call,
       0, view.size(),
       [&](size_t lo, size_t hi) {
         KeyRange<Index> ranges[FrameRanges::kMaxRanges];
-        if (batch > 0) {
-          // Batched path, two kernel passes per chunk: first the row-number
-          // counts (a CountLess pair per non-empty key range), then the
-          // offset selects for rows whose target lands inside the frame.
-          using Tree = MergeSortTree<Index>;
-          struct RowTask {
-            size_t row;
-            size_t total;
-            uint32_t range_begin;
-            uint32_t num_ranges;
-            uint32_t count_begin;
-            uint32_t num_pairs;
-          };
-          std::vector<KeyRange<Index>> range_pool;
-          std::vector<typename Tree::CountQuery> count_queries;
-          std::vector<RowTask> tasks;
-          std::vector<size_t> counts;
-          std::vector<typename Tree::SelectQuery> selects;
-          std::vector<size_t> select_rows;
-          std::vector<size_t> selected;
-          for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
-            const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
-            range_pool.clear();
-            count_queries.clear();
-            tasks.clear();
-            selects.clear();
-            select_rows.clear();
-            for (size_t i = chunk; i < chunk_end; ++i) {
-              const size_t row = view.rows[i];
-              if (!sel.remap.Included(i)) {
-                out->SetNull(row);
-                continue;
-              }
-              size_t total = 0;
-              const size_t num_ranges =
-                  sel.MapKeyRanges(view.frames[i], ranges, &total);
-              if (total == 0) {
-                out->SetNull(row);
-                continue;
-              }
-              const size_t own_rank =
-                  rank_of_filtered[sel.remap.ToFiltered(i)];
-              RowTask task{row,
-                           total,
-                           static_cast<uint32_t>(range_pool.size()),
-                           static_cast<uint32_t>(num_ranges),
-                           static_cast<uint32_t>(count_queries.size()),
-                           0};
-              range_pool.insert(range_pool.end(), ranges, ranges + num_ranges);
-              for (size_t r = 0; r < num_ranges; ++r) {
-                if (ranges[r].lo >= ranges[r].hi) continue;  // counts 0
-                count_queries.push_back({0, own_rank, ranges[r].hi});
-                count_queries.push_back({0, own_rank, ranges[r].lo});
-                ++task.num_pairs;
-              }
-              tasks.push_back(task);
+        // Two batched kernel passes per chunk: first the row-number counts
+        // (a CountLess pair per non-empty key range), then the offset
+        // selects for rows whose target lands inside the frame.
+        using Tree = MergeSortTree<Index>;
+        struct RowTask {
+          size_t row;
+          size_t total;
+          uint32_t range_begin;
+          uint32_t num_ranges;
+          uint32_t count_begin;
+          uint32_t num_pairs;
+        };
+        std::vector<KeyRange<Index>> range_pool;
+        std::vector<typename Tree::CountQuery> count_queries;
+        std::vector<RowTask> tasks;
+        std::vector<size_t> counts;
+        std::vector<typename Tree::SelectQuery> selects;
+        std::vector<size_t> select_rows;
+        std::vector<size_t> selected;
+        for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
+          const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
+          range_pool.clear();
+          count_queries.clear();
+          tasks.clear();
+          selects.clear();
+          select_rows.clear();
+          for (size_t i = chunk; i < chunk_end; ++i) {
+            const size_t row = view.rows[i];
+            if (!sel.remap.Included(i)) {
+              out->SetNull(row);
+              continue;
             }
-            counts.resize(count_queries.size());
-            sel.tree.CountLessBatch(count_queries, batch, counts.data());
-            for (const RowTask& task : tasks) {
-              size_t before = 0;
-              for (size_t p = 0; p < task.num_pairs; ++p) {
-                before += counts[task.count_begin + 2 * p] -
-                          counts[task.count_begin + 2 * p + 1];
-              }
-              const int64_t target =
-                  is_lead ? static_cast<int64_t>(before) + call.param
-                          : static_cast<int64_t>(before) - call.param;
-              if (target < 0 || target >= static_cast<int64_t>(task.total)) {
-                out->SetNull(task.row);
-                continue;
-              }
-              selects.push_back({task.range_begin, task.num_ranges,
-                                 static_cast<size_t>(target)});
-              select_rows.push_back(task.row);
+            size_t total = 0;
+            const size_t num_ranges =
+                sel.MapKeyRanges(view.frames[i], ranges, &total);
+            if (total == 0) {
+              out->SetNull(row);
+              continue;
             }
-            selected.resize(selects.size());
-            sel.SelectPositionsBatch(range_pool, selects, batch,
-                                     selected.data());
-            GatherRowsWithPrefetch(view.rows.data(), selected.data(),
-                                   selected.size(), selected.data());
-            for (size_t q = 0; q < selects.size(); ++q) {
-              if (q + kGatherLookahead < selects.size()) {
-                arg.PrefetchRow(selected[q + kGatherLookahead]);
-              }
-              emit(select_rows[q], selected[q]);
+            const size_t own_rank =
+                rank_of_filtered[sel.remap.ToFiltered(i)];
+            RowTask task{row,
+                         total,
+                         static_cast<uint32_t>(range_pool.size()),
+                         static_cast<uint32_t>(num_ranges),
+                         static_cast<uint32_t>(count_queries.size()),
+                         0};
+            range_pool.insert(range_pool.end(), ranges, ranges + num_ranges);
+            for (size_t r = 0; r < num_ranges; ++r) {
+              if (ranges[r].lo >= ranges[r].hi) continue;  // counts 0
+              count_queries.push_back({0, own_rank, ranges[r].hi});
+              count_queries.push_back({0, own_rank, ranges[r].lo});
+              ++task.num_pairs;
             }
+            tasks.push_back(task);
           }
-          return;
-        }
-        for (size_t i = lo; i < hi; ++i) {
-          const size_t row = view.rows[i];
-          if (!sel.remap.Included(i)) {
-            out->SetNull(row);
-            continue;
+          counts.resize(count_queries.size());
+          sel.tree.CountLessBatch(count_queries, kProbeGroupSize,
+                                  counts.data());
+          for (const RowTask& task : tasks) {
+            // Frame rows strictly before the current row in function order.
+            // If the current row is in the frame, `before` is its 0-based
+            // index among the frame rows; otherwise it is the insertion
+            // position, which generalizes the semantics naturally.
+            size_t before = 0;
+            for (size_t p = 0; p < task.num_pairs; ++p) {
+              before += counts[task.count_begin + 2 * p] -
+                        counts[task.count_begin + 2 * p + 1];
+            }
+            const int64_t target =
+                is_lead ? static_cast<int64_t>(before) + call.param
+                        : static_cast<int64_t>(before) - call.param;
+            if (target < 0 || target >= static_cast<int64_t>(task.total)) {
+              out->SetNull(task.row);
+              continue;
+            }
+            selects.push_back({task.range_begin, task.num_ranges,
+                               static_cast<size_t>(target)});
+            select_rows.push_back(task.row);
           }
-          size_t total = 0;
-          const size_t num_ranges =
-              sel.MapKeyRanges(view.frames[i], ranges, &total);
-          if (total == 0) {
-            out->SetNull(row);
-            continue;
+          selected.resize(selects.size());
+          sel.SelectPositionsBatch(range_pool, selects, kProbeGroupSize,
+                                   selected.data());
+          GatherRowsWithPrefetch(view.rows.data(), selected.data(),
+                                 selected.size(), selected.data());
+          for (size_t q = 0; q < selects.size(); ++q) {
+            if (q + kGatherLookahead < selects.size()) {
+              arg.PrefetchRow(selected[q + kGatherLookahead]);
+            }
+            emit(select_rows[q], selected[q]);
           }
-          std::span<const KeyRange<Index>> span(ranges, num_ranges);
-          // Frame rows strictly before the current row in function order.
-          const size_t own_rank = rank_of_filtered[sel.remap.ToFiltered(i)];
-          size_t before = 0;
-          for (size_t r = 0; r < num_ranges; ++r) {
-            before += sel.tree.CountInKeyRange(0, own_rank, ranges[r].lo,
-                                               ranges[r].hi);
-          }
-          // If the current row is in the frame, `before` is its 0-based
-          // index among the frame rows; otherwise it is the insertion
-          // position, which generalizes the semantics naturally.
-          const int64_t target = is_lead
-                                     ? static_cast<int64_t>(before) + call.param
-                                     : static_cast<int64_t>(before) -
-                                           call.param;
-          if (target < 0 || target >= static_cast<int64_t>(total)) {
-            out->SetNull(row);
-            continue;
-          }
-          const size_t selected = view.rows[sel.SelectPosition(
-              span, static_cast<size_t>(target))];
-          emit(row, selected);
         }
       },
       *view.pool, view.options->morsel_size);

@@ -41,13 +41,13 @@ struct RankArtifact {
     {
       obs::ScopedPhaseTimer timer(view.options->profile,
                                   obs::ProfilePhase::kPreprocess);
-      if (view.options->tree.fuse_preprocess && less.encoded()) {
+      if (less.encoded()) {
         PreprocessRequest req;
         req.want_dense = dense;
         req.want_unique = !dense;
         PreprocessResult<Index> pre = PreprocessOrderKeys<Index>(
             n, [&less](size_t i) { return less.EncodedKey(i); }, req,
-            *view.pool, view.options->tree.use_ovc, view.options->profile);
+            *view.pool, view.options->profile);
         result.codes =
             dense ? std::move(pre.dense_codes) : std::move(pre.unique_codes);
       } else {

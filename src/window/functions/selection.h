@@ -48,7 +48,7 @@ struct SelectionTree {
     {
       obs::ScopedPhaseTimer timer(view.options->profile,
                                   obs::ProfilePhase::kPreprocess);
-      if (view.options->tree.fuse_preprocess && less.encoded()) {
+      if (less.encoded()) {
         PreprocessRequest req;
         req.want_perm = true;
         PreprocessResult<Index> pre = PreprocessOrderKeys<Index>(
@@ -56,8 +56,7 @@ struct SelectionTree {
             [&](size_t j) {
               return less.EncodedKey(result.remap.ToOriginal(j));
             },
-            req, *view.pool, view.options->tree.use_ovc,
-            view.options->profile);
+            req, *view.pool, view.options->profile);
         perm = std::move(pre.perm);
       } else {
         obs::ScopedPreprocessStepTimer legacy_timer(
@@ -121,25 +120,13 @@ struct SelectionTree {
     return count;
   }
 
-  /// The original partition position of the idx-th (0-based, function
-  /// order) frame row. Requires idx < total. `cursor` (optional) caches the
-  /// top-level descent state across calls with the same ranges, so a second
-  /// select on the same frame skips its boundary searches.
-  size_t SelectPosition(
-      std::span<const KeyRange<Index>> ranges, size_t idx,
-      typename MergeSortTree<Index>::ProbeCursor* cursor = nullptr) const {
-    const size_t tree_pos = tree.Select(ranges, idx, cursor);
-    const size_t filtered_pos = static_cast<size_t>(tree.KeyAt(tree_pos));
-    return remap.ToOriginal(filtered_pos);
-  }
-
   using SelectQuery = typename MergeSortTree<Index>::SelectQuery;
 
-  /// Batched SelectPosition: answers `queries` (each referencing a slice of
-  /// `range_pool`) through the prefetch-pipelined probe kernel with
-  /// `group_size` queries in flight, then maps every selected tree position
-  /// back to an original partition position in `out`. Results are identical
-  /// to calling SelectPosition per query.
+  /// Answers `queries` (each referencing a slice of `range_pool`; query q
+  /// asks for the rank-th frame row in function order) through the
+  /// prefetch-pipelined probe kernel with `group_size` queries in flight,
+  /// then maps every selected tree position back to an original partition
+  /// position in `out`.
   void SelectPositionsBatch(std::span<const KeyRange<Index>> range_pool,
                             std::span<const SelectQuery> queries,
                             size_t group_size, size_t* out) const {

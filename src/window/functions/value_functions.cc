@@ -24,8 +24,6 @@ Status EvalValueFunctionT(const PartitionView& view,
   const SelectionTree<Index>& sel = **sel_or;
   const Column& arg = view.col(*call.argument);
 
-  const size_t batch = view.options->tree.probe_batch_size;
-  // The selected row's value is emitted identically on both paths.
   auto emit = [&](size_t row, size_t selected) {
     if (arg.IsNull(selected)) {
       out->SetNull(row);
@@ -62,61 +60,45 @@ Status EvalValueFunctionT(const PartitionView& view,
       0, view.size(),
       [&](size_t lo, size_t hi) {
         KeyRange<Index> ranges[FrameRanges::kMaxRanges];
-        if (batch > 0) {
-          // Batched path: one select query per non-null row per chunk.
-          std::vector<KeyRange<Index>> range_pool;
-          std::vector<typename SelectionTree<Index>::SelectQuery> queries;
-          std::vector<size_t> rows;
-          std::vector<size_t> selected;
-          for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
-            const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
-            range_pool.clear();
-            queries.clear();
-            rows.clear();
-            for (size_t i = chunk; i < chunk_end; ++i) {
-              const size_t row = view.rows[i];
-              size_t total = 0;
-              const size_t num_ranges =
-                  sel.MapKeyRanges(view.frames[i], ranges, &total);
-              const size_t idx = rank_for(total);
-              if (total == 0 || idx >= total) {
-                out->SetNull(row);
-                continue;
-              }
-              const uint32_t range_begin =
-                  static_cast<uint32_t>(range_pool.size());
-              range_pool.insert(range_pool.end(), ranges, ranges + num_ranges);
-              queries.push_back(
-                  {range_begin, static_cast<uint32_t>(num_ranges), idx});
-              rows.push_back(row);
+        // One select query per non-null row per chunk, answered in one
+        // batched kernel pass.
+        std::vector<KeyRange<Index>> range_pool;
+        std::vector<typename SelectionTree<Index>::SelectQuery> queries;
+        std::vector<size_t> rows;
+        std::vector<size_t> selected;
+        for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
+          const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
+          range_pool.clear();
+          queries.clear();
+          rows.clear();
+          for (size_t i = chunk; i < chunk_end; ++i) {
+            const size_t row = view.rows[i];
+            size_t total = 0;
+            const size_t num_ranges =
+                sel.MapKeyRanges(view.frames[i], ranges, &total);
+            const size_t idx = rank_for(total);
+            if (total == 0 || idx >= total) {
+              out->SetNull(row);
+              continue;
             }
-            selected.resize(queries.size());
-            sel.SelectPositionsBatch(range_pool, queries, batch,
-                                     selected.data());
-            GatherRowsWithPrefetch(view.rows.data(), selected.data(),
-                                   selected.size(), selected.data());
-            for (size_t q = 0; q < queries.size(); ++q) {
-              if (q + kGatherLookahead < queries.size()) {
-                arg.PrefetchRow(selected[q + kGatherLookahead]);
-              }
-              emit(rows[q], selected[q]);
+            const uint32_t range_begin =
+                static_cast<uint32_t>(range_pool.size());
+            range_pool.insert(range_pool.end(), ranges, ranges + num_ranges);
+            queries.push_back(
+                {range_begin, static_cast<uint32_t>(num_ranges), idx});
+            rows.push_back(row);
+          }
+          selected.resize(queries.size());
+          sel.SelectPositionsBatch(range_pool, queries, kProbeGroupSize,
+                                   selected.data());
+          GatherRowsWithPrefetch(view.rows.data(), selected.data(),
+                                 selected.size(), selected.data());
+          for (size_t q = 0; q < queries.size(); ++q) {
+            if (q + kGatherLookahead < queries.size()) {
+              arg.PrefetchRow(selected[q + kGatherLookahead]);
             }
+            emit(rows[q], selected[q]);
           }
-          return;
-        }
-        for (size_t i = lo; i < hi; ++i) {
-          const size_t row = view.rows[i];
-          size_t total = 0;
-          const size_t num_ranges =
-              sel.MapKeyRanges(view.frames[i], ranges, &total);
-          const size_t idx = rank_for(total);
-          if (total == 0 || idx >= total) {
-            out->SetNull(row);
-            continue;
-          }
-          const size_t selected = view.rows[sel.SelectPosition(
-              std::span<const KeyRange<Index>>(ranges, num_ranges), idx)];
-          emit(row, selected);
         }
       },
       *view.pool, view.options->morsel_size);

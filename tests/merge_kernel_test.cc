@@ -1,9 +1,10 @@
-// Differential tests of the loser-tree merge kernel (loser_tree.h) against
-// the reference binary-heap kernel (internal_mst::MergeRunHeap): output
-// runs, payload permutations and cascading pointers must be byte-identical
-// across fanouts, sampling intervals, chunked merging and duplicate-heavy
-// key distributions — this is the stability/tie-break invariant the merge
-// sort tree build relies on.
+// Tests of the loser-tree merge kernel (loser_tree.h) against a
+// std::stable_sort of the concatenated child runs: output runs, payload
+// permutations and cascading pointers (per-child counts of the elements
+// emitted before each sample) must be byte-identical across fanouts,
+// sampling intervals, chunked merging and duplicate-heavy key
+// distributions — this is the stability/tie-break invariant the merge sort
+// tree build relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,10 +64,49 @@ struct MergeResult {
   std::vector<uint32_t> cascade;
 };
 
+/// The reference merge: a stable sort of the child runs concatenated in
+/// child order (ties therefore break by child index, then run offset).
+/// Cascade sample s holds, for every child, how many of its elements
+/// precede output position s·sampling; slots past num_children are 0.
+MergeResult OracleMerge(const RunSet& runs, size_t sampling, size_t fanout,
+                        bool with_cascade) {
+  struct Entry {
+    uint32_t key;
+    size_t child;
+    size_t offset;
+  };
+  std::vector<Entry> entries;
+  for (size_t c = 0; c < runs.keys.size(); ++c) {
+    for (size_t i = 0; i < runs.keys[c].size(); ++i) {
+      entries.push_back({runs.keys[c][i], c, i});
+    }
+  }
+  std::stable_sort(
+      entries.begin(), entries.end(),
+      [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  MergeResult result;
+  const size_t num_samples =
+      runs.total == 0 ? 1 : (runs.total - 1) / sampling + 1;
+  result.cascade.assign(with_cascade ? num_samples * fanout : 0, 0xabababu);
+  std::vector<uint32_t> consumed(runs.keys.size(), 0);
+  for (size_t o = 0; o < entries.size(); ++o) {
+    if (with_cascade && o % sampling == 0) {
+      uint32_t* slot = result.cascade.data() + (o / sampling) * fanout;
+      for (size_t c = 0; c < fanout; ++c) {
+        slot[c] = c < consumed.size() ? consumed[c] : 0;
+      }
+    }
+    const Entry& e = entries[o];
+    result.out.push_back(e.key);
+    result.out_payload.push_back(runs.payloads[e.child][e.offset]);
+    ++consumed[e.child];
+  }
+  return result;
+}
+
 template <bool kHasPayload>
-MergeResult RunKernel(const RunSet& runs, MergeKernel kernel, size_t sampling,
-                      size_t fanout, bool with_cascade, size_t out_offset,
-                      const size_t* start_offsets, size_t out_len) {
+MergeResult RunLoserTree(const RunSet& runs, size_t sampling, size_t fanout,
+                         bool with_cascade) {
   MergeResult result;
   result.out.assign(runs.total, 0xdeadbeef);
   result.out_payload.assign(kHasPayload ? runs.total : 0, ~uint64_t{0});
@@ -74,27 +114,17 @@ MergeResult RunKernel(const RunSet& runs, MergeKernel kernel, size_t sampling,
       runs.total == 0 ? 1 : (runs.total - 1) / sampling + 1;
   result.cascade.assign(with_cascade ? num_samples * fanout : 0, 0xabababu);
   uint32_t* cascade_out = with_cascade ? result.cascade.data() : nullptr;
-  if (kernel == MergeKernel::kHeap) {
-    internal_mst::MergeRunHeap<uint32_t, uint64_t, kHasPayload>(
-        runs.key_ptrs.data(), runs.lens.data(), runs.key_ptrs.size(),
-        result.out.data(), out_len, cascade_out, sampling, fanout,
-        runs.payload_ptrs.data(),
-        kHasPayload ? result.out_payload.data() : nullptr, out_offset,
-        start_offsets);
-  } else {
-    MergeScratch<uint32_t, uint64_t> scratch;
-    internal_mst::MergeRunLoserTree<uint32_t, uint64_t, kHasPayload>(
-        scratch, runs.key_ptrs.data(), runs.lens.data(), runs.key_ptrs.size(),
-        result.out.data(), out_len, cascade_out, sampling, fanout,
-        runs.payload_ptrs.data(),
-        kHasPayload ? result.out_payload.data() : nullptr, out_offset,
-        start_offsets);
-  }
+  MergeScratch<uint32_t, uint64_t> scratch;
+  internal_mst::MergeRunLoserTree<uint32_t, uint64_t, kHasPayload>(
+      scratch, runs.key_ptrs.data(), runs.lens.data(), runs.key_ptrs.size(),
+      result.out.data(), runs.total, cascade_out, sampling, fanout,
+      runs.payload_ptrs.data(),
+      kHasPayload ? result.out_payload.data() : nullptr);
   return result;
 }
 
 template <bool kHasPayload>
-void CheckWholeRunEquivalence(bool with_cascade) {
+void CheckWholeRunMatchesOracle(bool with_cascade) {
   Pcg32 rng(kHasPayload ? 101 : 202);
   for (size_t fanout : {2u, 3u, 5u, 32u}) {
     for (size_t sampling : {1u, 3u, 32u}) {
@@ -106,45 +136,44 @@ void CheckWholeRunEquivalence(bool with_cascade) {
         RunSet runs =
             MakeRuns(rng, num_children, key_range, 200, /*allow_empty=*/true);
         if (runs.total == 0) continue;
-        MergeResult heap = RunKernel<kHasPayload>(
-            runs, MergeKernel::kHeap, sampling, fanout, with_cascade, 0,
-            nullptr, runs.total);
-        MergeResult loser = RunKernel<kHasPayload>(
-            runs, MergeKernel::kLoserTree, sampling, fanout, with_cascade, 0,
-            nullptr, runs.total);
-        ASSERT_EQ(heap.out, loser.out)
+        MergeResult expected =
+            OracleMerge(runs, sampling, fanout, with_cascade);
+        if (!kHasPayload) expected.out_payload.clear();
+        MergeResult loser =
+            RunLoserTree<kHasPayload>(runs, sampling, fanout, with_cascade);
+        ASSERT_EQ(expected.out, loser.out)
             << "fanout=" << fanout << " sampling=" << sampling
             << " children=" << num_children;
-        ASSERT_EQ(heap.out_payload, loser.out_payload)
+        ASSERT_EQ(expected.out_payload, loser.out_payload)
             << "fanout=" << fanout << " sampling=" << sampling;
-        ASSERT_EQ(heap.cascade, loser.cascade)
+        ASSERT_EQ(expected.cascade, loser.cascade)
             << "fanout=" << fanout << " sampling=" << sampling;
       }
     }
   }
 }
 
-TEST(MergeKernel, LoserMatchesHeapKeysOnly) {
-  CheckWholeRunEquivalence<false>(/*with_cascade=*/false);
+TEST(LoserTreeMerge, LoserMatchesStableSortKeysOnly) {
+  CheckWholeRunMatchesOracle<false>(/*with_cascade=*/false);
 }
 
-TEST(MergeKernel, LoserMatchesHeapKeysOnlyWithCascade) {
-  CheckWholeRunEquivalence<false>(/*with_cascade=*/true);
+TEST(LoserTreeMerge, LoserMatchesStableSortKeysOnlyWithCascade) {
+  CheckWholeRunMatchesOracle<false>(/*with_cascade=*/true);
 }
 
-TEST(MergeKernel, LoserMatchesHeapWithPayload) {
-  CheckWholeRunEquivalence<true>(/*with_cascade=*/false);
+TEST(LoserTreeMerge, LoserMatchesStableSortWithPayload) {
+  CheckWholeRunMatchesOracle<true>(/*with_cascade=*/false);
 }
 
-TEST(MergeKernel, LoserMatchesHeapWithPayloadAndCascade) {
-  CheckWholeRunEquivalence<true>(/*with_cascade=*/true);
+TEST(LoserTreeMerge, LoserMatchesStableSortWithPayloadAndCascade) {
+  CheckWholeRunMatchesOracle<true>(/*with_cascade=*/true);
 }
 
 /// Chunked merging (§5.2 upper-level strategy): splitting the output at
-/// arbitrary ranks via MultiwaySelect and merging each chunk with either
-/// kernel must reassemble to exactly the whole-run merge, including the
-/// cascade samples that land inside each chunk.
-TEST(MergeKernel, ChunkedMergeMatchesWholeRun) {
+/// arbitrary ranks via MultiwaySelect and merging each chunk must
+/// reassemble to exactly the whole-run merge, including the cascade
+/// samples that land inside each chunk.
+TEST(LoserTreeMerge, ChunkedMergeMatchesWholeRun) {
   Pcg32 rng(303);
   for (size_t fanout : {3u, 5u, 32u}) {
     for (size_t sampling : {1u, 3u, 32u}) {
@@ -153,9 +182,8 @@ TEST(MergeKernel, ChunkedMergeMatchesWholeRun) {
             1 + rng.Bounded(static_cast<uint32_t>(fanout));
         RunSet runs = MakeRuns(rng, num_children, 17, 150,
                                /*allow_empty=*/false);
-        MergeResult whole = RunKernel<true>(runs, MergeKernel::kHeap, sampling,
-                                            fanout, /*with_cascade=*/true, 0,
-                                            nullptr, runs.total);
+        MergeResult whole =
+            OracleMerge(runs, sampling, fanout, /*with_cascade=*/true);
         // Split into 1..5 chunks at random ranks.
         const size_t num_chunks = 1 + rng.Bounded(5);
         std::vector<size_t> cuts{0, runs.total};
@@ -192,10 +220,11 @@ TEST(MergeKernel, ChunkedMergeMatchesWholeRun) {
   }
 }
 
-/// Full-tree differential check: a build with the loser-tree kernel must
-/// produce level data bit-identical to the heap-kernel build (and answer
-/// queries identically — this exercises the cascade pointers end to end).
-TEST(MergeKernel, TreeBuildsIdenticalAcrossKernels) {
+/// Full-tree check: level ℓ of a parallel build (whole-run merges on the
+/// lower levels, co-selected chunk merges on the upper ones) must be level
+/// 0 sorted in runs of fanout^ℓ, and CountLess must match a brute-force
+/// count — this exercises the cascade pointers end to end.
+TEST(LoserTreeMerge, TreeLevelsMatchSortedRuns) {
   ThreadPool pool(3);
   Pcg32 rng(404);
   for (size_t n : {1u, 2u, 37u, 1000u, 20000u}) {
@@ -203,28 +232,31 @@ TEST(MergeKernel, TreeBuildsIdenticalAcrossKernels) {
       for (size_t sampling : {1u, 32u}) {
         std::vector<uint32_t> keys(n);
         for (auto& k : keys) k = rng.Bounded(static_cast<uint32_t>(n / 2 + 1));
-        MergeSortTreeOptions heap_opts;
-        heap_opts.fanout = fanout;
-        heap_opts.sampling = sampling;
-        heap_opts.kernel = MergeKernel::kHeap;
-        MergeSortTreeOptions loser_opts = heap_opts;
-        loser_opts.kernel = MergeKernel::kLoserTree;
-        auto heap_tree = MergeSortTree<uint32_t>::Build(keys, heap_opts, pool);
-        auto loser_tree =
-            MergeSortTree<uint32_t>::Build(keys, loser_opts, pool);
-        ASSERT_EQ(heap_tree.num_levels(), loser_tree.num_levels());
-        for (size_t level = 0; level < heap_tree.num_levels(); ++level) {
-          ASSERT_EQ(heap_tree.level_data(level), loser_tree.level_data(level))
+        MergeSortTreeOptions options;
+        options.fanout = fanout;
+        options.sampling = sampling;
+        auto tree = MergeSortTree<uint32_t>::Build(keys, options, pool);
+        size_t run_len = 1;
+        for (size_t level = 0; level < tree.num_levels(); ++level) {
+          std::vector<uint32_t> expected = keys;
+          for (size_t b = 0; b < n; b += run_len) {
+            std::sort(expected.begin() + b,
+                      expected.begin() + std::min(n, b + run_len));
+          }
+          ASSERT_EQ(tree.level_data(level), expected)
               << "n=" << n << " fanout=" << fanout << " sampling=" << sampling
               << " level=" << level;
+          run_len *= fanout;
         }
         for (int q = 0; q < 50; ++q) {
           size_t lo = rng.Bounded(static_cast<uint32_t>(n + 1));
           size_t hi = rng.Bounded(static_cast<uint32_t>(n + 1));
           if (lo > hi) std::swap(lo, hi);
           const uint32_t t = rng.Bounded(static_cast<uint32_t>(n / 2 + 2));
-          ASSERT_EQ(heap_tree.CountLess(lo, hi, t),
-                    loser_tree.CountLess(lo, hi, t));
+          const size_t expected = static_cast<size_t>(std::count_if(
+              keys.begin() + lo, keys.begin() + hi,
+              [t](uint32_t k) { return k < t; }));
+          ASSERT_EQ(tree.CountLess(lo, hi, t), expected);
         }
       }
     }
@@ -233,7 +265,7 @@ TEST(MergeKernel, TreeBuildsIdenticalAcrossKernels) {
 
 /// MultiwaySelectGeneric (the parallel sort's chunk splitter) against a
 /// reference stable merge, under heavy ties.
-TEST(MergeKernel, MultiwaySelectGenericMatchesStableMerge) {
+TEST(LoserTreeMerge, MultiwaySelectGenericMatchesStableMerge) {
   Pcg32 rng(505);
   for (int round = 0; round < 30; ++round) {
     const size_t m = 1 + rng.Bounded(8);
@@ -271,7 +303,7 @@ TEST(MergeKernel, MultiwaySelectGenericMatchesStableMerge) {
 
 /// The ported multiway merge phase of ParallelSort must still agree with
 /// std::stable_sort semantics at every run size, including weak orders.
-TEST(MergeKernel, ParallelSortMultiwayPhaseMatchesStableSort) {
+TEST(LoserTreeMerge, ParallelSortMultiwayPhaseMatchesStableSort) {
   ThreadPool pool(4);
   Pcg32 rng(606);
   for (size_t n : {100u, 5000u, 200000u}) {

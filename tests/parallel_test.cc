@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -35,6 +36,24 @@ TEST(ThreadPool, TaskGroupJoinsAllTasks) {
     group.Wait();
     EXPECT_EQ(counter.load(), 50);
   }
+}
+
+TEST(ThreadPool, ShortLivedTaskGroupsOnWorkers) {
+  // Each group is destroyed right after Wait() returns, while the worker
+  // that ran its last task may still be finishing the completion
+  // broadcast; that broadcast must not reach back into the freed group.
+  // Heap groups let ASan flag any such access.
+  ThreadPool pool(3);
+  std::atomic<int> counter{0};
+  constexpr int kGroups = 20000;
+  for (int g = 0; g < kGroups; ++g) {
+    auto group = std::make_unique<TaskGroup>(pool);
+    for (int t = 0; t < 4; ++t) {
+      group->Run([&counter] { counter.fetch_add(1); });
+    }
+    group->Wait();
+  }
+  EXPECT_EQ(counter.load(), 4 * kGroups);
 }
 
 TEST(ParallelFor, CoversEveryElementExactlyOnce) {

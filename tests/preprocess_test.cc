@@ -1,7 +1,6 @@
 // Differential testing of the fused preprocessing pipeline
 // (mst/preprocess.h): every artifact it emits must equal the legacy
-// per-artifact reference (prev_index.h / permutation.h) bit for bit, with
-// and without offset-value-coded sorting.
+// per-artifact reference (prev_index.h / permutation.h) bit for bit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,61 +35,28 @@ TEST(Preprocess, PaperFigure1Example) {
   const std::vector<uint64_t> codes = {0, 1, 1, 2, 0, 1, 2, 0};
   PreprocessRequest req;
   req.want_prev = true;
-  const auto pre =
-      PreprocessHashedCodes<uint32_t>(codes, req, pool, /*use_ovc=*/true);
+  const auto pre = PreprocessHashedCodes<uint32_t>(codes, req, pool);
   EXPECT_EQ(pre.prev, (std::vector<uint32_t>{0, 0, 2, 0, 1, 3, 4, 5}));
 }
 
 TEST(Preprocess, HashedCodesMatchLegacy) {
   ThreadPool pool(3);
-  for (const bool use_ovc : {false, true}) {
-    for (const size_t n :
-         {size_t{0}, size_t{1}, size_t{2}, size_t{500}, size_t{20000}}) {
-      Pcg32 rng(n * 3 + use_ovc);
-      std::vector<uint64_t> codes(n);
-      // Heavy duplicates so occurrence chains are long.
-      for (auto& c : codes) c = rng.Bounded(32);
+  for (const size_t n :
+       {size_t{0}, size_t{1}, size_t{2}, size_t{500}, size_t{20000}}) {
+    Pcg32 rng(n * 3 + 1);
+    std::vector<uint64_t> codes(n);
+    // Heavy duplicates so occurrence chains are long.
+    for (auto& c : codes) c = rng.Bounded(32);
 
-      const auto pre = PreprocessHashedCodes<uint32_t>(codes, AllArtifacts(),
-                                                       pool, use_ovc);
-      EXPECT_EQ(pre.prev, ComputePrevIndices<uint32_t>(codes, pool))
-          << "n=" << n << " ovc=" << use_ovc;
-      EXPECT_EQ(pre.next, ComputeNextIndices<uint32_t>(codes, pool))
-          << "n=" << n << " ovc=" << use_ovc;
+    const auto pre =
+        PreprocessHashedCodes<uint32_t>(codes, AllArtifacts(), pool);
+    EXPECT_EQ(pre.prev, ComputePrevIndices<uint32_t>(codes, pool))
+        << "n=" << n;
+    EXPECT_EQ(pre.next, ComputeNextIndices<uint32_t>(codes, pool))
+        << "n=" << n;
 
-      // perm / dense / unique under "code order, position tiebreak".
-      auto cmp = [&codes](size_t a, size_t b) { return codes[a] < codes[b]; };
-      EXPECT_EQ(pre.perm, ComputePermutation<uint32_t>(n, cmp, pool));
-      size_t legacy_distinct = 0;
-      EXPECT_EQ(pre.dense_codes,
-                ComputeDenseCodes<uint32_t>(n, cmp, &legacy_distinct, pool));
-      EXPECT_EQ(pre.num_distinct, legacy_distinct);
-      EXPECT_EQ(pre.unique_codes, ComputeUniqueCodes<uint32_t>(n, cmp, pool));
-    }
-  }
-}
-
-TEST(Preprocess, OrderKeysMatchLegacy) {
-  ThreadPool pool(3);
-  for (const bool use_ovc : {false, true}) {
-    const size_t n = 15000;
-    Pcg32 rng(77 + use_ovc);
-    std::vector<uint8_t> null_rank(n);
-    std::vector<uint64_t> keys(n);
-    for (size_t i = 0; i < n; ++i) {
-      null_rank[i] = static_cast<uint8_t>(rng.Bounded(3));
-      keys[i] = rng.Bounded(64);
-    }
-    auto get = [&](size_t i) {
-      return std::pair<uint8_t, uint64_t>{null_rank[i], keys[i]};
-    };
-    auto cmp = [&](size_t a, size_t b) {
-      if (null_rank[a] != null_rank[b]) return null_rank[a] < null_rank[b];
-      return keys[a] < keys[b];
-    };
-
-    const auto pre = PreprocessOrderKeys<uint32_t>(n, get, AllArtifacts(),
-                                                   pool, use_ovc);
+    // perm / dense / unique under "code order, position tiebreak".
+    auto cmp = [&codes](size_t a, size_t b) { return codes[a] < codes[b]; };
     EXPECT_EQ(pre.perm, ComputePermutation<uint32_t>(n, cmp, pool));
     size_t legacy_distinct = 0;
     EXPECT_EQ(pre.dense_codes,
@@ -98,6 +64,34 @@ TEST(Preprocess, OrderKeysMatchLegacy) {
     EXPECT_EQ(pre.num_distinct, legacy_distinct);
     EXPECT_EQ(pre.unique_codes, ComputeUniqueCodes<uint32_t>(n, cmp, pool));
   }
+}
+
+TEST(Preprocess, OrderKeysMatchLegacy) {
+  ThreadPool pool(3);
+  const size_t n = 15000;
+  Pcg32 rng(78);
+  std::vector<uint8_t> null_rank(n);
+  std::vector<uint64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    null_rank[i] = static_cast<uint8_t>(rng.Bounded(3));
+    keys[i] = rng.Bounded(64);
+  }
+  auto get = [&](size_t i) {
+    return std::pair<uint8_t, uint64_t>{null_rank[i], keys[i]};
+  };
+  auto cmp = [&](size_t a, size_t b) {
+    if (null_rank[a] != null_rank[b]) return null_rank[a] < null_rank[b];
+    return keys[a] < keys[b];
+  };
+
+  const auto pre =
+      PreprocessOrderKeys<uint32_t>(n, get, AllArtifacts(), pool);
+  EXPECT_EQ(pre.perm, ComputePermutation<uint32_t>(n, cmp, pool));
+  size_t legacy_distinct = 0;
+  EXPECT_EQ(pre.dense_codes,
+            ComputeDenseCodes<uint32_t>(n, cmp, &legacy_distinct, pool));
+  EXPECT_EQ(pre.num_distinct, legacy_distinct);
+  EXPECT_EQ(pre.unique_codes, ComputeUniqueCodes<uint32_t>(n, cmp, pool));
 }
 
 // 64-bit index instantiation takes the emission pass through the other

@@ -2,7 +2,9 @@
 // for every query shape the kernel supports, the batch path must return
 // results bit-identical to the scalar reference descent — including the
 // per-query cover piece ORDER (the annotated tree's floating-point merges
-// fold in visit order, so a reordered cover changes double results).
+// fold in visit order, so a reordered cover changes double results). The
+// window functions built on the kernel are checked against the naive
+// evaluator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,7 +74,6 @@ class ProbeBatchParamTest : public ::testing::TestWithParam<Params> {
     options.fanout = fanout;
     options.sampling = sampling;
     options.use_cascading = cascading;
-    options.probe_batch_size = batch;
     return options;
   }
 };
@@ -301,7 +302,6 @@ TEST(ProbeBatch, CascadeLookupCountsMatchScalar) {
     options.fanout = 8;
     options.sampling = 4;
     options.use_cascading = cascading;
-    options.probe_batch_size = 16;
     const auto keys =
         RandomKeys<uint32_t>(n, static_cast<uint32_t>(n / 2), 1234);
     const auto tree = MergeSortTree<uint32_t>::Build(keys, options);
@@ -322,7 +322,7 @@ TEST(ProbeBatch, CascadeLookupCountsMatchScalar) {
     const obs::CounterSnapshot after_scalar = obs::SnapshotCounters();
 
     std::vector<size_t> batched(queries.size());
-    tree.CountLessBatch(queries, options.probe_batch_size, batched.data());
+    tree.CountLessBatch(queries, kProbeGroupSize, batched.data());
     const obs::CounterSnapshot after_batch = obs::SnapshotCounters();
 
     const obs::CounterSnapshot scalar_delta =
@@ -430,9 +430,10 @@ TEST(ProbeBatch, SpilledLevelsMatchScalar) {
   }
 }
 
-// End-to-end: every batched window function must produce bit-identical
-// columns with the kernel off (scalar reference), at a tiny group size
-// (maximum retire-and-backfill churn), and at a large one.
+// End-to-end: every window function that answers its frames through the
+// batched kernel must match the naive evaluator (window/reference.cc).
+// Kernel group sizes from 1 (maximum retire-and-backfill churn) up are
+// covered against the scalar descent by the parameterized tests above.
 class WindowBatchEquivalenceTest : public ::testing::Test {
  protected:
   // MakeRandomTable schema.
@@ -441,47 +442,11 @@ class WindowBatchEquivalenceTest : public ::testing::Test {
   static constexpr size_t kPrice = 3;
   static constexpr size_t kFlag = 5;
 
-  void ExpectBatchInvariant(const WindowSpec& spec,
+  void ExpectMatchesNaive(const WindowSpec& spec,
                             const WindowFunctionCall& call,
                             const std::string& context) {
     const Table table = MakeRandomTable(6000, /*seed=*/123);
-    WindowExecutorOptions options;
-    options.tree.probe_batch_size = 0;
-    StatusOr<Column> reference =
-        EvaluateWindowFunction(table, spec, call, options);
-    ASSERT_TRUE(reference.ok()) << context << ": "
-                                << reference.status().ToString();
-    for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
-      options.tree.probe_batch_size = batch;
-      StatusOr<Column> result =
-          EvaluateWindowFunction(table, spec, call, options);
-      ASSERT_TRUE(result.ok()) << context << ": "
-                               << result.status().ToString();
-      ASSERT_EQ(result->size(), reference->size());
-      for (size_t i = 0; i < result->size(); ++i) {
-        ASSERT_EQ(result->IsNull(i), reference->IsNull(i))
-            << context << " batch " << batch << " row " << i;
-        if (result->IsNull(i)) continue;
-        switch (result->type()) {
-          case DataType::kInt64:
-            ASSERT_EQ(result->GetInt64(i), reference->GetInt64(i))
-                << context << " batch " << batch << " row " << i;
-            break;
-          case DataType::kDouble: {
-            const double a = result->GetDouble(i);
-            const double b = reference->GetDouble(i);
-            ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-                << context << " batch " << batch << " row " << i << ": " << a
-                << " vs " << b;
-            break;
-          }
-          case DataType::kString:
-            ASSERT_EQ(result->GetString(i), reference->GetString(i))
-                << context << " batch " << batch << " row " << i;
-            break;
-        }
-      }
-    }
+    test::ExpectMatchesNaive(table, spec, call, context);
   }
 
   WindowSpec FramedSpec(int64_t preceding, int64_t following) {
@@ -497,7 +462,7 @@ TEST_F(WindowBatchEquivalenceTest, Median) {
   WindowFunctionCall call;
   call.kind = WindowFunctionKind::kMedian;
   call.argument = kPrice;
-  ExpectBatchInvariant(FramedSpec(200, 50), call, "median");
+  ExpectMatchesNaive(FramedSpec(200, 50), call, "median");
 }
 
 TEST_F(WindowBatchEquivalenceTest, PercentileContWithFilter) {
@@ -506,7 +471,7 @@ TEST_F(WindowBatchEquivalenceTest, PercentileContWithFilter) {
   call.fraction = 0.37;
   call.argument = kPrice;
   call.filter = kFlag;
-  ExpectBatchInvariant(FramedSpec(500, 0), call, "percentile_cont");
+  ExpectMatchesNaive(FramedSpec(500, 0), call, "percentile_cont");
 }
 
 TEST_F(WindowBatchEquivalenceTest, NthValueIgnoreNulls) {
@@ -515,7 +480,7 @@ TEST_F(WindowBatchEquivalenceTest, NthValueIgnoreNulls) {
   call.param = 3;
   call.argument = kVal;
   call.ignore_nulls = true;
-  ExpectBatchInvariant(FramedSpec(100, 100), call, "nth_value");
+  ExpectMatchesNaive(FramedSpec(100, 100), call, "nth_value");
 }
 
 TEST_F(WindowBatchEquivalenceTest, LeadWithExclusion) {
@@ -525,7 +490,7 @@ TEST_F(WindowBatchEquivalenceTest, LeadWithExclusion) {
   call.argument = kPrice;
   WindowSpec spec = FramedSpec(300, 10);
   spec.frame.exclusion = FrameExclusion::kGroup;
-  ExpectBatchInvariant(spec, call, "lead");
+  ExpectMatchesNaive(spec, call, "lead");
 }
 
 TEST_F(WindowBatchEquivalenceTest, CountDistinctWithExclusion) {
@@ -534,20 +499,20 @@ TEST_F(WindowBatchEquivalenceTest, CountDistinctWithExclusion) {
   call.argument = kVal;
   WindowSpec spec = FramedSpec(400, 0);
   spec.frame.exclusion = FrameExclusion::kCurrentRow;
-  ExpectBatchInvariant(spec, call, "count_distinct");
+  ExpectMatchesNaive(spec, call, "count_distinct");
 }
 
 TEST_F(WindowBatchEquivalenceTest, SumDistinctDouble) {
   WindowFunctionCall call;
   call.kind = WindowFunctionKind::kSumDistinct;
   call.argument = kPrice;
-  ExpectBatchInvariant(FramedSpec(250, 250), call, "sum_distinct");
+  ExpectMatchesNaive(FramedSpec(250, 250), call, "sum_distinct");
 }
 
 TEST_F(WindowBatchEquivalenceTest, DenseRank) {
   WindowFunctionCall call;
   call.kind = WindowFunctionKind::kDenseRank;
-  ExpectBatchInvariant(FramedSpec(150, 150), call, "dense_rank");
+  ExpectMatchesNaive(FramedSpec(150, 150), call, "dense_rank");
 }
 
 }  // namespace

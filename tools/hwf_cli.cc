@@ -64,9 +64,6 @@ void Usage() {
       "                             suffix (e.g. 256M); spills to disk\n"
       "                             instead of exceeding it (default "
       "unlimited)\n"
-      "  --probe_batch N            tree probes kept in flight per thread by\n"
-      "                             the batched probe kernel (default 16;\n"
-      "                             0 = scalar probes)\n"
       "  --as NAME                  result column name\n"
       "  --format csv|json          output format (default csv)\n"
       "  --output FILE              write the result here (default stdout)\n"
@@ -203,7 +200,6 @@ struct CliArgs {
   int64_t param = 1;
   bool explain = false;
   size_t memory_limit_bytes = 0;
-  size_t probe_batch = MergeSortTreeOptions{}.probe_batch_size;
   std::string profile_path;
   std::string trace_path;
 };
@@ -287,7 +283,6 @@ Status RunCli(const CliArgs& args) {
                                    "'");
   }
   options.memory_limit_bytes = args.memory_limit_bytes;
-  options.tree.probe_batch_size = args.probe_batch;
   obs::ExecutionProfile profile;
   const bool want_profile = args.explain || !args.profile_path.empty() ||
                             !args.trace_path.empty();
@@ -386,8 +381,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: bad --memory_limit '%s'\n", value);
         return 2;
       }
-    } else if (flag == "--probe_batch") {
-      args.probe_batch = static_cast<size_t>(std::atoll(next()));
     } else if (flag == "--as") {
       args.result_name = next();
     } else if (flag == "--format") {
