@@ -34,10 +34,9 @@ int main() {
       bench::Timer timer;
       auto tree = MergeSortTree<uint32_t>::Build(keys, options, single);
       build[casc] = timer.Seconds();
-      size_t checksum = 0;
-      for (size_t i = 0; i < n; ++i) {
-        checksum += tree.CountLess(0, i + 1, keys[i]);
-      }
+      const size_t checksum = bench::RunningRankChecksum(
+          tree, n, /*step=*/1, [&](size_t i) { return keys[i]; },
+          kProbeGroupSize);
       total[casc] = timer.Seconds();
       volatile size_t sink = checksum;  // Defeat dead-code elimination.
       (void)sink;

@@ -29,14 +29,15 @@ int main() {
     ThreadPool single(0);
     bench::Timer t32;
     auto tree32 = MergeSortTree<uint32_t>::Build(std::move(keys32), {}, single);
-    size_t check = 0;
-    for (size_t i = 0; i < n; i += 3) check += tree32.CountLess(0, i + 1, 1u << 30);
+    size_t check = bench::RunningRankChecksum(
+        tree32, n, /*step=*/3, [](size_t) { return uint32_t{1} << 30; },
+        kProbeGroupSize);
     const double s32 = t32.Seconds();
     bench::Timer t64;
     auto tree64 = MergeSortTree<uint64_t>::Build(std::move(keys64), {}, single);
-    for (size_t i = 0; i < n; i += 3) {
-      check += tree64.CountLess(0, i + 1, uint64_t{1} << 30);
-    }
+    check += bench::RunningRankChecksum(
+        tree64, n, /*step=*/3, [](size_t) { return uint64_t{1} << 30; },
+        kProbeGroupSize);
     const double s64 = t64.Seconds();
     volatile size_t sink = check;  // Defeat dead-code elimination.
     (void)sink;

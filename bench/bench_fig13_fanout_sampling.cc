@@ -40,10 +40,9 @@ int main() {
       options.sampling = samplings[ki];
       bench::Timer timer;
       auto tree = MergeSortTree<uint32_t>::Build(keys, options, single);
-      size_t checksum = 0;
-      for (size_t i = 0; i < n; ++i) {
-        checksum += tree.CountLess(0, i + 1, keys[i]);
-      }
+      const size_t checksum = bench::RunningRankChecksum(
+          tree, n, /*step=*/1, [&](size_t i) { return keys[i]; },
+          kProbeGroupSize);
       seconds[fi][ki] = timer.Seconds();
       if (seconds[fi][ki] < best) best = seconds[fi][ki];
       volatile size_t sink = checksum;  // Defeat dead-code elimination.

@@ -1,8 +1,8 @@
 // Streaming-ingest benchmark: APPEND/UPSERT batch throughput into the
 // catalog's delta buffer, warm probe latency as a function of resident
-// delta size (the merged main+delta cursor against a cache-off cold
-// rebuild), and the cost of folding the delta back into the base. Emits
-// BENCH_ingest.json.
+// delta size (the delta-merged sort plus one tree rebuild per appended
+// state, against a cache-off cold rebuild), and the cost of folding the
+// delta back into the base. Emits BENCH_ingest.json.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -42,8 +42,10 @@ Table MakeTable(size_t rows, uint64_t seed) {
   return table;
 }
 
-/// The probe workload: a holistic selection function, so the post-append
-/// path runs through the merged main+delta cursor rather than a rebuild.
+/// The probe workload: a holistic selection function. After an append the
+/// first query derives the combined sort by merging the sorted delta into
+/// the cached base sort, then rebuilds the selection tree of every
+/// partition the append touched; repeats probe the cached trees.
 const char* kProbeSql =
     "select percentile_disc(0.5 order by val) over (order by ord rows "
     "between 300 preceding and current row) from t";
@@ -145,13 +147,11 @@ int main() {
 
   // --- probe latency vs resident delta size -------------------------------
   // Two numbers per delta size. `first` is the first post-append query:
-  // rebuild-free by design (delta tree + merged cursor instead of an
-  // O(n log n) re-sort/rebuild), but its scalar O(log^2) selects cost more
-  // per row than the batched kernel. `p50` is the steady state after the
-  // cursor's crossover policy rebuilt the combined tree — it should sit on
-  // top of the delta-free baseline, proving repeat-heavy workloads
-  // re-amortize to full batched-kernel speed.
-  bench::PrintHeader("probe latency vs delta size (merged cursor)");
+  // an O(d log d + n) delta merge of the sort artifact instead of an
+  // O(n log n) re-sort, plus a rebuild of the touched partitions' trees.
+  // `p50` is the steady state, probe-only against the cached trees — it
+  // should sit on top of the delta-free baseline.
+  bench::PrintHeader("probe latency vs delta size (delta-merged sort)");
   std::printf("%-18s %10s %14s %14s\n", "delta", "rows", "first s",
               "steady p50 s");
   double p50_base = 0;
@@ -192,9 +192,8 @@ int main() {
                 bench::HistogramQuantilesJson(snap, 1e-6) + "}");
   }
   // Hardware-independent gate: steady-state warm probes with a 5% delta vs
-  // none. The crossover policy must pin this near 1.0 — regressions here
-  // mean appended state is still paying merged-cursor (or worse, rebuild)
-  // costs on every repeat query.
+  // none. This must stay near 1.0 — a regression here means appended state
+  // pays a rebuild on every repeat query.
   {
     const double ratio = p50_base > 0 ? p50_mid / p50_base : 1.0;
     std::printf("steady-state overhead ratio (5%% / none) %.4f\n", ratio);

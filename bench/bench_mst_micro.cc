@@ -1,5 +1,6 @@
 // Micro-benchmarks of the merge sort tree primitives under
-// google-benchmark: build, CountLess and Select per tree size, plus the
+// google-benchmark: build and the batched count / select probes per tree
+// size, plus the
 // preprocessing steps (Algorithm 1 and permutation arrays).
 //
 // Extra flag (consumed before google-benchmark sees the command line):
@@ -59,44 +60,8 @@ void BM_TreeBuildParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeBuildParallel)->Range(1 << 16, 1 << 22);
 
-void BM_CountLess(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<uint32_t> keys = RandomKeys(n);
-  ThreadPool single(0);
-  auto tree = MergeSortTree<uint32_t>::Build(keys, {}, single);
-  Pcg32 rng(7);
-  for (auto _ : state) {
-    const size_t i = rng.Bounded(static_cast<uint32_t>(n));
-    benchmark::DoNotOptimize(tree.CountLess(0, i + 1, keys[i]));
-  }
-}
-BENCHMARK(BM_CountLess)->Range(1 << 10, 1 << 20);
-
-void BM_Select(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  // A shuffled permutation, as the percentile path builds.
-  std::vector<uint32_t> keys(n);
-  for (size_t i = 0; i < n; ++i) keys[i] = static_cast<uint32_t>(i);
-  Pcg32 shuffle(3);
-  for (size_t i = n; i > 1; --i) {
-    std::swap(keys[i - 1], keys[shuffle.Bounded(static_cast<uint32_t>(i))]);
-  }
-  ThreadPool single(0);
-  auto tree = MergeSortTree<uint32_t>::Build(keys, {}, single);
-  Pcg32 rng(11);
-  for (auto _ : state) {
-    // Median within a random key window of ~n/8 elements.
-    const uint32_t lo = rng.Bounded(static_cast<uint32_t>(n - n / 8));
-    const uint32_t hi = lo + static_cast<uint32_t>(n / 8);
-    benchmark::DoNotOptimize(
-        tree.Select(lo, hi, static_cast<size_t>(n / 16)));
-  }
-}
-BENCHMARK(BM_Select)->Range(1 << 10, 1 << 20);
-
-// The batched probe kernel over a stream of CountLess queries at the
-// evaluators' group size. Items processed = queries answered, so items/s
-// compares directly with the one-query-at-a-time BM_CountLess.
+// The batched probe kernel over a stream of count queries at the
+// evaluators' group size. Items processed = queries answered.
 void BM_CountLessBatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<uint32_t> keys = RandomKeys(n);

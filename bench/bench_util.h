@@ -66,6 +66,29 @@ inline double MeasureThroughput(const Table& table, const WindowSpec& spec,
   return static_cast<double>(table.num_rows()) / seconds / 1e6;
 }
 
+/// The running-frame rank workload of the tree benches: sums, for rows
+/// i = 0, step, 2·step, ... < n, the number of entries at positions
+/// [0, i] with key < threshold(i). Answered through the batched probe
+/// kernel in chunks of 512 rows with `group_size` queries in flight, as the
+/// window evaluators do.
+template <typename Tree, typename ThresholdFn>
+size_t RunningRankChecksum(const Tree& tree, size_t n, size_t step,
+                           ThresholdFn threshold, size_t group_size) {
+  constexpr size_t kChunkRows = 512;
+  std::vector<typename Tree::CountQuery> queries;
+  std::vector<size_t> counts(kChunkRows);
+  size_t checksum = 0;
+  for (size_t i = 0; i < n;) {
+    queries.clear();
+    for (; i < n && queries.size() < kChunkRows; i += step) {
+      queries.push_back({0, i + 1, threshold(i)});
+    }
+    tree.CountLessBatch(queries, group_size, counts.data());
+    for (size_t q = 0; q < queries.size(); ++q) checksum += counts[q];
+  }
+  return checksum;
+}
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }

@@ -166,16 +166,19 @@ Status SortWithBudget(std::vector<T>& data, Less less, ThreadPool& pool,
 
 #if defined(HWF_HAS_OVC)
       if constexpr (kHasOvcTraits<T>) {
-        if (use_ovc) {
-          // Coded streaming merge: each reader buffer gets its in-run codes
-          // recomputed on refill (one linear pass over data just read from
-          // disk — cache-hot), and the tree re-Init on refill re-codes the
-          // heads against -inf exactly as the in-memory kernel does.
-          const size_t per_reader_elems =
-              pages_per_refill * kSpillPageBytes / sizeof(T) + 1;
-          MemoryReservation code_buf_bytes;
-          code_buf_bytes.ForceReserve(budget,
-                                      k * per_reader_elems * sizeof(OvcCode));
+        // Coded streaming merge: each reader buffer gets its in-run codes
+        // recomputed on refill (one linear pass over data just read from
+        // disk — cache-hot), and the tree re-Init on refill re-codes the
+        // heads against -inf exactly as the in-memory kernel does. A budget
+        // that cannot grant the k code buffers gets the uncoded merge
+        // below, which produces the same order without them.
+        const size_t per_reader_elems =
+            pages_per_refill * kSpillPageBytes / sizeof(T) + 1;
+        MemoryReservation code_buf_bytes;
+        if (use_ovc &&
+            code_buf_bytes
+                .Reserve(budget, k * per_reader_elems * sizeof(OvcCode))
+                .ok()) {
           std::vector<std::vector<OvcCode>> run_codes(k);
           std::vector<const OvcCode*> code_ptrs(k);
           for (size_t c = 0; c < k; ++c) {

@@ -130,35 +130,18 @@ class AnnotatedMergeSortTree {
   /// Number of entries.
   size_t size() const { return tree_.size(); }
 
-  /// The underlying (un-annotated) tree, e.g. for CountLess queries.
+  /// The underlying (un-annotated) tree, e.g. for count queries.
   const MergeSortTree<Index>& tree() const { return tree_; }
-
-  /// Merges the states of all entries at positions [pos_lo, pos_hi) whose
-  /// key is < threshold. Returns nullopt when no entry qualifies.
-  std::optional<State> AggregateLess(size_t pos_lo, size_t pos_hi,
-                                     Index threshold) const {
-    std::optional<State> result;
-    tree_.VisitCountCover(
-        pos_lo, pos_hi, threshold,
-        [&](size_t level, size_t run_begin, size_t count) {
-          const State piece = prefixes_[level].Get(run_begin + count - 1);
-          if (result.has_value()) {
-            Ops::Merge(*result, piece);
-          } else {
-            result = piece;
-          }
-        });
-    return result;
-  }
 
   using CountQuery = typename MergeSortTree<Index>::CountQuery;
 
-  /// Batched AggregateLess: answers `queries` through the prefetch-
-  /// pipelined cover kernel, keeping `group_size` queries in flight.
-  /// `out[q]` (which must start as nullopt) receives query q's merged
-  /// state, or stays nullopt when no entry qualifies. The kernel delivers
-  /// each query's cover pieces in exactly the scalar visit order, so
-  /// floating-point states are bit-identical to per-query AggregateLess.
+  /// For every query, merges the states of all entries at positions
+  /// [pos_lo, pos_hi) whose key is < threshold, through the prefetch-
+  /// pipelined cover kernel with `group_size` queries in flight. `out[q]`
+  /// (which must start as nullopt) receives query q's merged state, or
+  /// stays nullopt when no entry qualifies. The kernel delivers each
+  /// query's cover pieces in one fixed left-to-right order, so
+  /// floating-point states are bit-identical across group sizes.
   void AggregateLessBatch(std::span<const CountQuery> queries,
                           size_t group_size,
                           std::optional<State>* out) const {

@@ -143,44 +143,18 @@ class DenseRankTree {
     return bytes;
   }
 
-  /// Number of distinct codes < `code` with at least one occurrence at
-  /// positions [pos_lo, pos_hi).
-  size_t CountDistinctLess(size_t pos_lo, size_t pos_hi, Index code) const {
-    if (pos_lo >= pos_hi || n_ == 0) return 0;
-    // Code-prefix length: number of V entries with a smaller code.
-    const size_t prefix =
-        BranchlessLowerBound(sorted_codes_.data(), sorted_codes_.size(), code);
-    if (prefix == 0) return 0;
-
-    const Index threshold = static_cast<Index>(pos_lo + 1);
-    size_t count = 0;
-    // Canonical cover of [0, prefix): shave aligned blocks from the right.
-    size_t l = 0;
-    size_t r = prefix;
-    size_t level = 0;
-    while (l < r) {
-      const size_t w = size_t{1} << level;
-      if (r & w) {
-        r -= w;
-        count += CountInBlock(level, r, r + w, pos_lo, pos_hi, threshold);
-      }
-      ++level;
-    }
-    return count;
-  }
-
-  /// One CountDistinctLess query: positions [pos_lo, pos_hi), code bound.
+  /// One distinct-count query: the number of distinct codes < `code` with
+  /// at least one occurrence at positions [pos_lo, pos_hi).
   struct DistinctQuery {
     size_t pos_lo;
     size_t pos_hi;
     Index code;
   };
 
-  /// Batched CountDistinctLess. Decomposes every query's code prefix into
-  /// canonical blocks, groups the per-block 2-d counts by level, and
-  /// answers each level's group through the merge sort tree's batched
-  /// kernel (`group_size` probes in flight). Counts are integer sums, so
-  /// the result is identical to per-row CountDistinctLess.
+  /// out[q] = the answer to queries[q]. Decomposes every query's code
+  /// prefix into canonical blocks, groups the per-block 2-d counts by
+  /// level, and answers each level's group through the merge sort tree's
+  /// batched kernel (`group_size` probes in flight).
   void CountDistinctLessBatch(std::span<const DistinctQuery> queries,
                               size_t group_size, size_t* out) const {
     using CountQuery = typename MergeSortTree<Index>::CountQuery;
@@ -194,6 +168,7 @@ class DenseRankTree {
                                                  sorted_codes_.size(), dq.code);
       if (prefix == 0) continue;
       const Index threshold = static_cast<Index>(dq.pos_lo + 1);
+      // Canonical cover of [0, prefix): shave aligned blocks from the right.
       size_t l = 0;
       size_t r = prefix;
       size_t level = 0;
@@ -239,24 +214,6 @@ class DenseRankTree {
     MergeSortTree<Index> tree;     // Empty for level 0.
     size_t block_size = 1;
   };
-
-  /// 2-d count inside one aligned block [block_lo, block_hi) of `level`:
-  /// entries with position in [pos_lo, pos_hi) and prevEq < threshold.
-  size_t CountInBlock(size_t level, size_t block_lo, size_t block_hi,
-                      size_t pos_lo, size_t pos_hi, Index threshold) const {
-    const Level& lvl = levels_[level];
-    const Index* block = lvl.positions.data() + block_lo;
-    const size_t len = block_hi - block_lo;
-    const size_t sub_lo =
-        block_lo + BranchlessLowerBound(block, len, static_cast<Index>(pos_lo));
-    const size_t sub_hi =
-        block_lo + BranchlessLowerBound(block, len, static_cast<Index>(pos_hi));
-    if (sub_lo >= sub_hi) return 0;
-    if (level == 0) {
-      return lvl.keys[sub_lo] < threshold ? 1 : 0;
-    }
-    return lvl.tree.CountLess(sub_lo, sub_hi, threshold);
-  }
 
   size_t n_ = 0;
   std::vector<Index> codes_;

@@ -208,13 +208,15 @@ void MultiwaySelect(const Index* const* child_data, const size_t* child_lens,
 /// pointers recorded during the merges let a query reuse one top-level
 /// binary search across all levels.
 ///
-/// Two query shapes cover all framed holistic aggregates:
-///   - CountLess(pos_lo, pos_hi, t): how many entries within a position
-///     range have a key < t. Drives COUNT(DISTINCT), RANK, ROW_NUMBER,
-///     CUME_DIST etc. (§4.2, §4.4).
-///   - Select(key_ranges, i): the i-th position (left to right) whose key
-///     falls into the given key ranges. Drives percentiles, NTH_VALUE,
-///     LEAD/LAG (§4.5, §4.6).
+/// Two query shapes cover all framed holistic aggregates, both answered
+/// in batches by the prefetch-pipelined kernel (probe_batch.h):
+///   - CountLessBatch: how many entries within a position range have a
+///     key < t. Drives COUNT(DISTINCT), RANK, ROW_NUMBER, CUME_DIST etc.
+///     (§4.2, §4.4); VisitCountCoverBatch exposes the same descent's cover
+///     pieces to the aggregate-annotated tree (§4.3).
+///   - SelectBatch: the i-th position (left to right) whose key falls into
+///     the given key ranges. Drives percentiles, NTH_VALUE, LEAD/LAG (§4.5,
+///     §4.6).
 ///
 /// Index is uint32_t or uint64_t; the caller picks the narrowest type that
 /// fits the partition size (§5.1). Keys must be <= max(Index).
@@ -278,81 +280,23 @@ class MergeSortTree {
     return levels_[level].data.Vector();
   }
 
-  /// Counts entries at positions [pos_lo, pos_hi) with key < threshold.
-  /// O(f·log n) with cascading, O(f·log² n) without.
-  size_t CountLess(size_t pos_lo, size_t pos_hi, Index threshold) const {
-    size_t count = 0;
-    VisitCountCover(pos_lo, pos_hi, threshold,
-                    [&count](size_t /*level*/, size_t /*run_begin*/,
-                             size_t count_in_run) { count += count_in_run; });
-    return count;
-  }
+  // --- Probes: the batched kernel (probe_batch.h) ------------------------
 
-  /// Counts entries at positions [pos_lo, pos_hi) with key in [klo, khi).
-  size_t CountInKeyRange(size_t pos_lo, size_t pos_hi, Index klo,
-                         Index khi) const {
-    if (klo >= khi) return 0;
-    return CountLess(pos_lo, pos_hi, khi) - CountLess(pos_lo, pos_hi, klo);
-  }
-
-  /// Visits the canonical cover of the CountLess query: calls
-  /// `visit(level, run_begin, count)` for every covered run piece, where
-  /// `count` entries at global positions [run_begin, run_begin + count)
-  /// within the run's sorted data have keys < threshold. Summing the counts
-  /// yields CountLess; the annotated tree uses the (level, run_begin,
-  /// count) triples to look up prefix aggregates.
-  template <typename Visitor>
-  void VisitCountCover(size_t pos_lo, size_t pos_hi, Index threshold,
-                       Visitor&& visit) const;
-
-  /// Maximum number of disjoint key ranges a Select query may carry.
+  /// Maximum number of disjoint key ranges one SelectQuery may carry.
   static constexpr size_t kSelectMaxRanges = 8;
 
-  /// Top-level descent state shared between CountKeysInRanges and Select
-  /// calls over the same ranges. Both queries start with one lower-bound
-  /// bisection of the fully-sorted top run per range boundary; a row that
-  /// counts its frame and then selects into it (percentile, value
-  /// functions) pays those ~2·log n dependent cache misses once instead of
-  /// twice by threading a cursor through the pair of calls.
-  struct ProbeCursor {
-    bool valid = false;
-    size_t pos_lo[kSelectMaxRanges];
-    size_t pos_hi[kSelectMaxRanges];
-  };
-
-  /// Counts entries (over all positions) whose key lies in any of `ranges`.
-  /// The ranges must be disjoint. O(log n) per range. When `cursor` is
-  /// non-null the per-range top positions are recorded (or reused when
-  /// already valid) so a following Select skips its top-level searches.
-  size_t CountKeysInRanges(std::span<const KeyRange<Index>> ranges,
-                           ProbeCursor* cursor = nullptr) const;
-
-  /// Returns the position of the i-th entry (0-based, scanning positions
-  /// left to right) whose key lies in any of `ranges` (disjoint). Requires
-  /// i < CountKeysInRanges(ranges). O(f·log n) with cascading. A valid
-  /// `cursor` (from CountKeysInRanges or a prior Select over the same
-  /// ranges) skips the top-level bisections; an invalid one is filled.
-  size_t Select(std::span<const KeyRange<Index>> ranges, size_t i,
-                ProbeCursor* cursor = nullptr) const;
-
-  /// Convenience: Select with a single key range.
-  size_t Select(Index key_lo, Index key_hi, size_t i) const {
-    KeyRange<Index> range{key_lo, key_hi};
-    return Select(std::span<const KeyRange<Index>>(&range, 1), i);
-  }
-
-  // --- Batched probe kernel (probe_batch.h) ------------------------------
-
-  /// One Select query of a batch: the `rank`-th entry whose key lies in
-  /// ranges[range_begin, range_begin + num_ranges) of the shared range
-  /// pool. Queries may share range pool entries.
+  /// One Select query of a batch: the `rank`-th entry (0-based, scanning
+  /// positions left to right) whose key lies in ranges[range_begin,
+  /// range_begin + num_ranges) of the shared range pool. The ranges must be
+  /// disjoint and hold more than `rank` entries. Queries may share range
+  /// pool entries.
   struct SelectQuery {
     uint32_t range_begin;
     uint32_t num_ranges;
     size_t rank;
   };
 
-  /// One CountLess / cover query of a batch: entries at positions
+  /// One count / cover query of a batch: entries at positions
   /// [pos_lo, pos_hi) with key < threshold.
   struct CountQuery {
     size_t pos_lo;
@@ -360,27 +304,34 @@ class MergeSortTree {
     Index threshold;
   };
 
-  /// Batched Select: out[q] = Select(ranges of queries[q], queries[q].rank)
-  /// for every q, bit-identical to the scalar path. Up to `group_size`
-  /// queries are walked through the tree in lockstep (AMAC-style state
-  /// machine): each round advances every in-flight query by one level and
-  /// prefetches its next level's cascade/data cache lines before any of
-  /// them is touched; retired queries are backfilled from the batch.
+  /// out[q] = the position answering queries[q]. O(f·log n) per query with
+  /// cascading. Up to `group_size` queries are walked through the tree in
+  /// lockstep (AMAC-style state machine): each round advances every
+  /// in-flight query by one level and prefetches its next level's
+  /// cascade/data cache lines before any of them is touched; retired
+  /// queries are backfilled from the batch. Results do not depend on
+  /// `group_size`.
   void SelectBatch(std::span<const KeyRange<Index>> range_pool,
                    std::span<const SelectQuery> queries, size_t group_size,
                    size_t* out) const;
 
-  /// Batched CountLess: out[q] = CountLess(queries[q]). Same lockstep
-  /// group-prefetching machinery as SelectBatch.
+  /// out[q] = number of entries at positions [pos_lo, pos_hi) of
+  /// queries[q] with key < threshold. O(f·log n) per query with cascading,
+  /// O(f·log² n) without. Same lockstep group-prefetching machinery as
+  /// SelectBatch.
   void CountLessBatch(std::span<const CountQuery> queries, size_t group_size,
                       size_t* out) const;
 
-  /// Batched VisitCountCover: invokes visit(q, level, run_begin, count) for
-  /// every covered run piece of every query — per query in exactly the
-  /// order the scalar VisitCountCover emits (the annotated tree's
-  /// floating-point merges depend on it), though queries retire
-  /// interleaved. All of a query's pieces are delivered consecutively when
-  /// it retires.
+  /// Visits the canonical cover of every count query: calls
+  /// visit(q, level, run_begin, count) for every covered run piece, where
+  /// `count` entries at global positions [run_begin, run_begin + count)
+  /// within the run's sorted data have keys < threshold. A query's pieces
+  /// are the maximal aligned runs of [pos_lo, pos_hi), delivered left to
+  /// right (zero-count pieces omitted) and consecutively when the query
+  /// retires; queries retire interleaved. Summing the counts yields
+  /// CountLessBatch; the annotated tree uses the (level, run_begin, count)
+  /// triples to look up prefix aggregates, and its floating-point merges
+  /// rely on the fixed piece order.
   template <typename Visitor>
   void VisitCountCoverBatch(std::span<const CountQuery> queries,
                             size_t group_size, Visitor&& visit) const;
@@ -404,12 +355,6 @@ class MergeSortTree {
   /// Number of cascade samples for a run of `len` entries.
   size_t SamplesForLen(size_t len) const {
     return (len - 1) / opts_.sampling + 1;
-  }
-
-  /// Lower-bound position of `t` in the (single, fully sorted) top run.
-  /// The top level is never evicted, so this is always a resident search.
-  size_t TopLowerBoundImpl(Index t) const {
-    return levels_.back().data.LowerBound(0, n_, t);
   }
 
   /// Evicts the lowest resident level with index <= `max_level` (data +
@@ -446,21 +391,6 @@ class MergeSortTree {
       if (!EvictOneLevel(max_level)) break;
     }
   }
-
-  /// Given the lower-bound position `p` of `t` within the run of `level`
-  /// starting at `run_begin` (actual length `run_len_actual`), returns the
-  /// lower-bound position of `t` within child `child` of that run
-  /// (relative to the child run start). Uses the fractional-cascading
-  /// window when available, a full binary search otherwise.
-  size_t CascadeToChild(size_t level, size_t run_begin, size_t run_len_actual,
-                        size_t p, Index t, size_t child,
-                        size_t child_len) const;
-
-  /// Recursive worker for VisitCountCover. [lo, hi) is clamped to the run.
-  template <typename Visitor>
-  void VisitCountCoverInRun(size_t level, size_t run_begin,
-                            size_t run_len_actual, size_t p, Index t,
-                            size_t lo, size_t hi, Visitor& visit) const;
 
   /// Shared lockstep worker behind CountLessBatch / VisitCountCoverBatch
   /// (probe_batch.h). The emitter receives the cover pieces.
@@ -705,199 +635,6 @@ size_t MergeSortTree<Index>::SpilledBytes() const {
     bytes += level.cascade.spilled_bytes();
   }
   return bytes;
-}
-
-template <typename Index>
-size_t MergeSortTree<Index>::CascadeToChild(size_t level, size_t run_begin,
-                                            size_t run_len_actual, size_t p,
-                                            Index t, size_t child,
-                                            size_t child_len) const {
-  const Level& lvl = levels_[level];
-  const Level& child_lvl = levels_[level - 1];
-  const size_t child_begin = run_begin + child * child_lvl.run_len;
-
-  size_t window_lo = 0;
-  size_t window_hi = child_len;
-  if (!lvl.cascade.empty()) {
-    obs::Add(obs::Counter::kMstCascadeLookups);
-    const size_t k = opts_.sampling;
-    const size_t f = opts_.fanout;
-    const size_t run_index = run_begin / lvl.run_len;
-    const size_t num_samples = SamplesForLen(run_len_actual);
-    const size_t s = std::min(p / k, num_samples - 1);
-    const size_t base = (run_index * lvl.samples_per_full_run + s) * f;
-    window_lo = static_cast<size_t>(lvl.cascade.Get(base + child));
-    if (s + 1 < num_samples) {
-      window_hi = std::min<size_t>(
-          static_cast<size_t>(lvl.cascade.Get(base + f + child)), child_len);
-    }
-  } else {
-    obs::Add(obs::Counter::kMstBinarySearchFallbacks);
-  }
-  return child_lvl.data.LowerBound(child_begin + window_lo,
-                                   child_begin + window_hi, t) -
-         child_begin;
-}
-
-template <typename Index>
-template <typename Visitor>
-void MergeSortTree<Index>::VisitCountCoverInRun(size_t level, size_t run_begin,
-                                                size_t run_len_actual,
-                                                size_t p, Index t, size_t lo,
-                                                size_t hi,
-                                                Visitor& visit) const {
-  HWF_DCHECK(lo >= run_begin && hi <= run_begin + run_len_actual);
-  if (lo >= hi) return;
-  if (lo == run_begin && hi == run_begin + run_len_actual) {
-    // The whole run qualifies: p is exactly the count of keys < t.
-    if (p > 0) visit(level, run_begin, p);
-    return;
-  }
-  HWF_DCHECK(level > 0);
-  const Level& child_lvl = levels_[level - 1];
-  const size_t child_run_len = child_lvl.run_len;
-  const size_t run_end = run_begin + run_len_actual;
-  // Only children overlapping [lo, hi) are inspected.
-  const size_t first_child = (lo - run_begin) / child_run_len;
-  const size_t last_child = (hi - 1 - run_begin) / child_run_len;
-  for (size_t c = first_child; c <= last_child; ++c) {
-    const size_t cb = run_begin + c * child_run_len;
-    const size_t ce = std::min(run_end, cb + child_run_len);
-    size_t pc;
-    if (level == 1) {
-      // Children are single elements: direct comparison.
-      pc = levels_[0].data.Get(cb) < t ? 1 : 0;
-    } else {
-      pc = CascadeToChild(level, run_begin, run_len_actual, p, t, c, ce - cb);
-    }
-    if (cb >= lo && ce <= hi) {
-      if (pc > 0) visit(level - 1, cb, pc);
-    } else {
-      VisitCountCoverInRun(level - 1, cb, ce - cb, pc, t, std::max(lo, cb),
-                           std::min(hi, ce), visit);
-    }
-  }
-}
-
-template <typename Index>
-template <typename Visitor>
-void MergeSortTree<Index>::VisitCountCover(size_t pos_lo, size_t pos_hi,
-                                           Index threshold,
-                                           Visitor&& visit) const {
-  HWF_CHECK(pos_hi <= n_);
-  if (pos_lo >= pos_hi) return;
-  if (n_ == 1) {
-    if (levels_[0].data.Get(0) < threshold) {
-      visit(size_t{0}, size_t{0}, size_t{1});
-    }
-    return;
-  }
-  const size_t top = levels_.size() - 1;
-  const size_t p = TopLowerBoundImpl(threshold);
-  VisitCountCoverInRun(top, 0, n_, p, threshold, pos_lo, pos_hi, visit);
-}
-
-template <typename Index>
-size_t MergeSortTree<Index>::CountKeysInRanges(
-    std::span<const KeyRange<Index>> ranges, ProbeCursor* cursor) const {
-  HWF_CHECK(ranges.size() <= kSelectMaxRanges);
-  const mem::SpillableVector<Index>& top = levels_.back().data;
-  size_t count = 0;
-  if (cursor != nullptr && cursor->valid) {
-    for (size_t r = 0; r < ranges.size(); ++r) {
-      count += cursor->pos_hi[r] - cursor->pos_lo[r];
-    }
-    return count;
-  }
-  for (size_t r = 0; r < ranges.size(); ++r) {
-    const size_t lo = top.LowerBound(0, n_, ranges[r].lo);
-    const size_t hi = top.LowerBound(lo, n_, ranges[r].hi);
-    count += hi - lo;
-    if (cursor != nullptr) {
-      cursor->pos_lo[r] = lo;
-      cursor->pos_hi[r] = hi;
-    }
-  }
-  if (cursor != nullptr) cursor->valid = true;
-  return count;
-}
-
-template <typename Index>
-size_t MergeSortTree<Index>::Select(std::span<const KeyRange<Index>> ranges,
-                                    size_t i, ProbeCursor* cursor) const {
-  HWF_CHECK(n_ > 0);
-  if (n_ == 1) return 0;
-  // Cascaded lower-bound positions for every range boundary within the
-  // current run (2 per range).
-  HWF_CHECK(ranges.size() <= kSelectMaxRanges);
-  size_t pos_lo[kSelectMaxRanges];
-  size_t pos_hi[kSelectMaxRanges];
-
-  const mem::SpillableVector<Index>& top_data = levels_.back().data;
-  if (cursor != nullptr && cursor->valid) {
-    for (size_t r = 0; r < ranges.size(); ++r) {
-      pos_lo[r] = cursor->pos_lo[r];
-      pos_hi[r] = cursor->pos_hi[r];
-    }
-  } else {
-    for (size_t r = 0; r < ranges.size(); ++r) {
-      pos_lo[r] = top_data.LowerBound(0, n_, ranges[r].lo);
-      pos_hi[r] = top_data.LowerBound(0, n_, ranges[r].hi);
-      if (cursor != nullptr) {
-        cursor->pos_lo[r] = pos_lo[r];
-        cursor->pos_hi[r] = pos_hi[r];
-      }
-    }
-    if (cursor != nullptr) cursor->valid = true;
-  }
-
-  size_t level = levels_.size() - 1;
-  size_t run_begin = 0;
-  size_t run_len_actual = n_;
-  while (level > 0) {
-    const Level& child_lvl = levels_[level - 1];
-    const size_t child_run_len = child_lvl.run_len;
-    const size_t run_end = run_begin + run_len_actual;
-    const size_t num_children =
-        (run_len_actual + child_run_len - 1) / child_run_len;
-    bool descended = false;
-    for (size_t c = 0; c < num_children; ++c) {
-      const size_t cb = run_begin + c * child_run_len;
-      const size_t ce = std::min(run_end, cb + child_run_len);
-      size_t child_lo[kSelectMaxRanges];
-      size_t child_hi[kSelectMaxRanges];
-      size_t count = 0;
-      for (size_t r = 0; r < ranges.size(); ++r) {
-        if (level == 1) {
-          const Index key = levels_[0].data.Get(cb);
-          const bool in = key >= ranges[r].lo && key < ranges[r].hi;
-          child_lo[r] = 0;
-          child_hi[r] = in ? 1 : 0;
-        } else {
-          child_lo[r] = CascadeToChild(level, run_begin, run_len_actual,
-                                       pos_lo[r], ranges[r].lo, c, ce - cb);
-          child_hi[r] = CascadeToChild(level, run_begin, run_len_actual,
-                                       pos_hi[r], ranges[r].hi, c, ce - cb);
-        }
-        count += child_hi[r] - child_lo[r];
-      }
-      if (i < count) {
-        // Descend into this child.
-        for (size_t r = 0; r < ranges.size(); ++r) {
-          pos_lo[r] = child_lo[r];
-          pos_hi[r] = child_hi[r];
-        }
-        run_begin = cb;
-        run_len_actual = ce - cb;
-        --level;
-        descended = true;
-        break;
-      }
-      i -= count;
-    }
-    HWF_CHECK_MSG(descended, "MergeSortTree::Select: i out of range");
-  }
-  return run_begin;
 }
 
 }  // namespace hwf

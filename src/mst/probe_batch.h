@@ -8,10 +8,11 @@
 /// \file probe_batch.h
 /// Batched, prefetch-pipelined probe kernel for the merge sort tree.
 ///
-/// The scalar probe walks one row at a time through ~log_f(n) tree levels,
-/// and every level starts with loads (cascade pointers, run data) whose
-/// addresses depend on the previous level's result — a dependent-miss chain
-/// the core cannot overlap. This kernel keeps a group of queries in flight
+/// A probe walks one query through ~log_f(n) tree levels, and every level
+/// starts with loads (cascade pointers, run data) whose addresses depend on
+/// the previous level's result — a dependent-miss chain the core cannot
+/// overlap when queries run one at a time. This kernel is the tree's only
+/// probe path: it keeps a group of queries in flight
 /// and advances all of them one level per round (group prefetching /
 /// AMAC-style state machines): when a query finishes its work at level ℓ it
 /// immediately computes its level ℓ-1 touch points and issues software
@@ -20,11 +21,13 @@
 /// retire are backfilled from the batch, so the group stays full until the
 /// batch drains.
 ///
-/// Results are bit-identical to the scalar path: the same bisection
-/// positions (via the shared branchless lower bound), the same descent
-/// decisions, and — for VisitCountCoverBatch — the same per-query piece
-/// order the scalar DFS emits, which the annotated tree's floating-point
-/// merges rely on.
+/// Results do not depend on the group size: every query takes the same
+/// bisection positions (via the shared branchless lower bound) and the
+/// same descent decisions, and VisitCountCoverBatch delivers each query's
+/// pieces in one fixed order — the canonical cover of [lo, hi) left to
+/// right, i.e. a depth-first walk of the tree — which the annotated tree's
+/// floating-point merges rely on. The tests check the counts against
+/// linear scans and the cover against a test-local canonical cover.
 ///
 /// Spilled levels cooperate: the prefetch pass warms each query's spill
 /// pages through the thread-local MRU cache (SpillableVector::
@@ -76,15 +79,16 @@ struct CountCoverSum {
 };
 
 /// Cover-piece consumer that buffers each query's pieces and replays them
-/// in exactly the scalar VisitCountCover order when the query retires.
+/// in depth-first (left-to-right) order when the query retires.
 ///
-/// The scalar DFS emits, for a query whose boundaries split at some level:
+/// A depth-first walk emits, for a query whose boundaries split at some
+/// level:
 /// the lower-boundary subtree bottom-up-by-round pieces first, then the
 /// split level's fully-covered middle children, then the upper-boundary
 /// subtree top-down. The kernel produces the same pieces level-by-level, so
 /// the lower-boundary pieces arrive in reverse round order — they are
 /// buffered as one segment per round and replayed with the segment order
-/// reversed; everything else already arrives in scalar order and is
+/// reversed; everything else already arrives in left-to-right order and is
 /// appended to a second buffer.
 template <typename Visitor>
 struct OrderedCoverReplay {
@@ -155,7 +159,7 @@ void MergeSortTree<Index>::SelectBatch(
   if (queries.empty()) return;
   HWF_CHECK(n_ > 0);
   if (n_ == 1) {
-    // Matches the scalar early-out: position 0 is the only candidate.
+    // Position 0 is the only candidate.
     for (size_t q = 0; q < queries.size(); ++q) out[q] = 0;
     return;
   }
@@ -361,8 +365,7 @@ void MergeSortTree<Index>::SelectBatch(
       const size_t* wlo = window_lo[c % kChildRing];
       const size_t* whi = window_hi[c % kChildRing];
       // Count the child searches actually performed, not the speculatively
-      // decoded lookahead windows, so the counters match the scalar Select
-      // (which stops counting at the descend child) exactly.
+      // decoded lookahead windows (the scan stops at the descend child).
       if (slot.casc_valid) {
         stats.cascade_lookups += slot.num_bounds;
       } else {
@@ -428,7 +431,7 @@ void MergeSortTree<Index>::RunCountCoverBatch(
     Emitter& emitter) const {
   if (queries.empty()) return;
   if (n_ <= 1) {
-    // Matches the scalar VisitCountCover degenerate cases.
+    // Degenerate trees: no levels to descend.
     for (size_t q = 0; q < queries.size(); ++q) {
       HWF_CHECK(queries[q].pos_hi <= n_);
       if (queries[q].pos_lo < queries[q].pos_hi && n_ == 1 &&
@@ -581,9 +584,9 @@ void MergeSortTree<Index>::RunCountCoverBatch(
       const Node& node = slot.nodes[ni];
       const size_t run_end = node.run_begin + node.run_len_actual;
       // Pieces of a node that still contains the lower boundary (and whose
-      // upper bound is the run end) precede, in scalar DFS order, every
-      // piece emitted at this level or above — they go to the replayed-
-      // in-reverse buffer. Everything else is already in scalar order.
+      // upper bound is the run end) precede, left to right, every piece
+      // emitted at this level or above — they go to the replayed-in-reverse
+      // buffer. Everything else is already in left-to-right order.
       const bool lo_side =
           node.lo > node.run_begin && node.hi == run_end;
       const size_t first = (node.lo - node.run_begin) / child_run_len;

@@ -80,7 +80,9 @@ enum class Counter : size_t {
   kIngestCompactions,         // delta-into-base compactions completed
   kIngestCompactionsFailed,   // compactions cancelled or errored
   kIngestDeltaMerges,         // sort artifacts built by delta merge (not cold)
-  kIngestMergedCursorBuilds,  // merged two-tree cursors built (no rebuild)
+  // Always 0: nothing builds a merged two-tree cursor any more. Kept only
+  // because the repository benchmark's harness still reads it.
+  kIngestMergedCursorBuilds,
 
   kNumCounters,
 };

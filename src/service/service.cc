@@ -218,15 +218,23 @@ void QueryService::GarbageCollectDeadEpochs() {
 }
 
 void QueryService::ExportTableGauges(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (registry_ == nullptr) return;
-  if (std::find(gauge_tables_.begin(), gauge_tables_.end(), name) !=
-      gauge_tables_.end()) {
-    return;
+  // Record the table under mutex_, but register its gauges after releasing
+  // it: a scrape holds the registry's mutex while its gauge callbacks take
+  // mutex_ (through stats()), so calling AddGauge under mutex_ would invert
+  // that lock order.
+  obs::MetricsRegistry* registry = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (registry_ == nullptr) return;
+    if (std::find(gauge_tables_.begin(), gauge_tables_.end(), name) !=
+        gauge_tables_.end()) {
+      return;
+    }
+    gauge_tables_.push_back(name);
+    registry = registry_;
   }
-  gauge_tables_.push_back(name);
   auto table_gauge = [&](const char* metric, const char* help, auto getter) {
-    registry_->AddGauge(metric, help, {{"table", name}},
+    registry->AddGauge(metric, help, {{"table", name}},
                         [this, name, getter]() -> double {
                           StatusOr<Catalog::TableMeta> meta =
                               catalog_.PeekMeta(name);

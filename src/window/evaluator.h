@@ -16,21 +16,6 @@
 
 namespace hwf {
 
-/// Internal: streaming-ingest census of one partition (set by the executor
-/// only when the table snapshot carries appended rows AND this partition
-/// holds a mix of base and delta rows). Evaluators that support the merged
-/// two-tree probe path (percentile/selection) use `main_prefix` to look up
-/// the pre-append base subset's cached tree and consult it alongside a
-/// small freshly-built delta side-tree instead of rebuilding over the full
-/// partition; all other families ignore it and rebuild (their new tree is
-/// then cached under the partition's content key, so only the first query
-/// after an append pays).
-struct PartitionDelta {
-  size_t base_rows = 0;            // Table ids >= this are appended rows.
-  size_t delta_in_partition = 0;   // How many of this partition's rows.
-  std::string main_prefix;         // Cache prefix of the base-only subset.
-};
-
 /// Internal: one partition as seen by a window function evaluator.
 ///
 /// Positions are 0..n within the partition's sort order; `rows[i]` maps a
@@ -51,9 +36,6 @@ struct PartitionView {
   /// reservations) and are shared across threads, so probes must be const.
   mst::TreeCache* cache = nullptr;
   std::string cache_prefix;
-
-  /// Non-null only for mixed base+delta partitions in delta mode.
-  const PartitionDelta* delta = nullptr;
 
   size_t size() const { return rows.size(); }
   const Column& col(size_t index) const { return table->column(index); }

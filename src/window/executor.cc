@@ -365,12 +365,16 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
   }
   exec_options.tree.mem = mem_ctx;
 
-  // Cross-query caching is engaged only for unbudgeted executions: cached
-  // artifacts outlive the query, so they must neither be charged to nor
-  // spill through the per-query budget. Cached tree builds therefore get an
-  // empty MemoryContext (no budget pointer to dangle).
+  // Cross-query caching is engaged only when the caller asked for no
+  // budget: cached artifacts outlive the query, so they must neither be
+  // charged to nor spill through the per-query budget. Cached tree builds
+  // therefore get an empty MemoryContext (no budget pointer to dangle). The
+  // decision reads the caller's option, not the HWF_TEST_MEMORY_LIMIT hook,
+  // so forcing spills under the test suite leaves cached executions (and
+  // the ingest delta merge they carry) as production runs them.
   const bool cache_enabled = options.tree_cache != nullptr &&
-                             !options.cache_key.empty() && memory_limit == 0;
+                             !options.cache_key.empty() &&
+                             options.memory_limit_bytes == 0;
   if (cache_enabled) exec_options.tree.mem = {};
   const bool content_keys =
       cache_enabled && !options.content_cache_key.empty();
@@ -1036,7 +1040,6 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
       view.frames = frames;
       view.options = &exec_options;
       view.pool = &part_pool;
-      PartitionDelta part_delta;
       if (cache_enabled) {
         view.cache = options.tree_cache;
         if (content_keys && part_n > 0) {
@@ -1065,33 +1068,6 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
                               st.ordering_key + "|p" +
                               std::to_string(part_begin) + "-" +
                               std::to_string(part_end);
-        }
-        if (content_keys && options.delta_base_rows > 0 && part_n > 0) {
-          // Partition-local delta census for the merged two-tree probe
-          // path: which rows are fresh, and under which key the pre-append
-          // base subset's tree would have been cached.
-          size_t delta_count = 0;
-          size_t base_count = 0;
-          size_t first_base = 0;
-          size_t last_base = 0;
-          for (size_t i = 0; i < part_n; ++i) {
-            if (rows[i] >= options.delta_base_rows) {
-              ++delta_count;
-            } else {
-              if (base_count == 0) first_base = rows[i];
-              last_base = rows[i];
-              ++base_count;
-            }
-          }
-          if (delta_count > 0 && base_count > 0) {
-            part_delta.base_rows = options.delta_base_rows;
-            part_delta.delta_in_partition = delta_count;
-            part_delta.main_prefix =
-                options.content_cache_key + "|" + st.ordering_key + "|p" +
-                std::to_string(first_base) + "." + std::to_string(base_count) +
-                "." + std::to_string(last_base);
-            view.delta = &part_delta;
-          }
         }
       }
 

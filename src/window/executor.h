@@ -90,9 +90,11 @@ struct WindowExecutorOptions {
   /// `cache_key` is non-empty — the key must uniquely identify the table
   /// *contents* (the service uses a globally monotonic table-version epoch;
   /// reusing a key after the rows change serves stale results). Caching is
-  /// additionally disabled for budgeted executions (memory_limit_bytes > 0
-  /// or HWF_TEST_MEMORY_LIMIT): cached artifacts outlive the query, so they
-  /// must not be accounted against — or spill through — a per-query budget.
+  /// additionally disabled for budgeted executions (memory_limit_bytes >
+  /// 0): cached artifacts outlive the query, so they must not be accounted
+  /// against — or spill through — a per-query budget. The
+  /// HWF_TEST_MEMORY_LIMIT hook does not disable it; cached executions then
+  /// build their trees unbudgeted, as they do without the hook.
   mst::TreeCache* tree_cache = nullptr;
   std::string cache_key;
 

@@ -3,70 +3,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "ingest/merged_probe.h"
 #include "window/evaluator.h"
 #include "window/functions/selection.h"
 
 namespace hwf {
 namespace internal_window {
 namespace {
-
-/// Merged-cursor percentile evaluation for mixed base+delta partitions
-/// (streaming ingest): probes the cached base tree plus a small delta
-/// side-tree instead of rebuilding over the full partition. Always the
-/// scalar loop — the batched probe kernel pipelines descents within one
-/// tree, while the merged cursor's rank search alternates between two.
-/// Output is bit-identical to the rebuild path (see MergedSelection).
-template <typename Index>
-Status EvalPercentileMergedT(const PartitionView& view,
-                             const WindowFunctionCall& call, Column* out,
-                             const ingest::MergedSelection<Index>& sel) {
-  const Column& arg = view.col(*call.argument);
-  const bool cont = call.kind == WindowFunctionKind::kPercentileCont;
-  const double fraction =
-      call.kind == WindowFunctionKind::kMedian ? 0.5 : call.fraction;
-  ParallelFor(
-      0, view.size(),
-      [&](size_t lo, size_t hi) {
-        typename ingest::MergedSelection<Index>::Ranges ranges;
-        for (size_t i = lo; i < hi; ++i) {
-          const size_t row = view.rows[i];
-          size_t total = 0;
-          sel.MapKeyRanges(view.frames[i], &ranges, &total);
-          if (total == 0) {
-            out->SetNull(row);
-            continue;
-          }
-          if (!cont) {
-            double pos = std::ceil(fraction * static_cast<double>(total)) - 1;
-            size_t idx = pos <= 0 ? 0 : static_cast<size_t>(pos);
-            if (idx >= total) idx = total - 1;
-            const size_t selected = view.rows[sel.SelectPosition(ranges, idx)];
-            if (out->type() == DataType::kInt64) {
-              out->SetInt64(row, arg.GetInt64(selected));
-            } else {
-              out->SetDouble(row, arg.GetNumeric(selected));
-            }
-          } else {
-            const double pos = fraction * static_cast<double>(total - 1);
-            const size_t lo_idx = static_cast<size_t>(std::floor(pos));
-            const size_t hi_idx = static_cast<size_t>(std::ceil(pos));
-            const double lo_val =
-                arg.GetNumeric(view.rows[sel.SelectPosition(ranges, lo_idx)]);
-            if (hi_idx == lo_idx) {
-              out->SetDouble(row, lo_val);
-            } else {
-              const double hi_val = arg.GetNumeric(
-                  view.rows[sel.SelectPosition(ranges, hi_idx)]);
-              const double t = pos - static_cast<double>(lo_idx);
-              out->SetDouble(row, lo_val + t * (hi_val - lo_val));
-            }
-          }
-        }
-      },
-      *view.pool, view.options->morsel_size);
-  return CheckStop();
-}
 
 /// Framed percentiles (§4.5). PERCENTILE_DISC(f) returns the first value
 /// whose cumulative distribution reaches f (an actual input value);
@@ -76,17 +18,6 @@ Status EvalPercentileMergedT(const PartitionView& view,
 template <typename Index>
 Status EvalPercentileT(const PartitionView& view,
                        const WindowFunctionCall& call, Column* out) {
-  if (view.delta != nullptr) {
-    StatusOr<std::shared_ptr<const ingest::MergedSelection<Index>>> merged =
-        ingest::MergedSelection<Index>::TryObtain(view, call,
-                                                  /*drop_null_args=*/true);
-    if (!merged.ok()) return merged.status();
-    if (*merged != nullptr) {
-      return EvalPercentileMergedT<Index>(view, call, out, **merged);
-    }
-    // Cold base tree or unsupported ordering: fall through to the full
-    // rebuild, which caches under the combined content key.
-  }
   StatusOr<std::shared_ptr<const SelectionTree<Index>>> sel_or =
       SelectionTree<Index>::Obtain(view, call, /*drop_null_args=*/true);
   if (!sel_or.ok()) return sel_or.status();

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -90,6 +91,62 @@ struct RankArtifact {
   }
 };
 
+/// Writes one row's rank-family result from its frame size and `count`,
+/// the number of frame rows whose code lies below the row's threshold.
+void WriteRankResult(const WindowFunctionCall& call, size_t row, size_t count,
+                     size_t frame_rows, Column* out) {
+  switch (call.kind) {
+    case WindowFunctionKind::kRank:
+    case WindowFunctionKind::kRowNumber:
+      out->SetInt64(row, static_cast<int64_t>(1 + count));
+      break;
+    case WindowFunctionKind::kPercentRank:
+      out->SetDouble(row, frame_rows <= 1
+                              ? 0.0
+                              : static_cast<double>(count) /
+                                    static_cast<double>(frame_rows - 1));
+      break;
+    case WindowFunctionKind::kCumeDist:
+      // The threshold is code + 1, so `count` includes the row's peers.
+      if (frame_rows == 0) {
+        out->SetNull(row);
+      } else {
+        out->SetDouble(row, static_cast<double>(count) /
+                                static_cast<double>(frame_rows));
+      }
+      break;
+    case WindowFunctionKind::kNtile: {
+      if (frame_rows == 0) {
+        out->SetNull(row);
+        break;
+      }
+      const size_t buckets = static_cast<size_t>(call.param);
+      // 0-based index of the current row among the frame rows in function
+      // order (insertion position when the row itself is outside the frame).
+      const size_t rn = std::min(count, frame_rows - 1);
+      int64_t tile;
+      if (buckets >= frame_rows) {
+        tile = static_cast<int64_t>(rn) + 1;
+      } else {
+        // SQL NTILE: the first (frame_rows % buckets) buckets get one extra
+        // row.
+        const size_t big = frame_rows % buckets;
+        const size_t small_size = frame_rows / buckets;
+        const size_t big_total = big * (small_size + 1);
+        if (rn < big_total) {
+          tile = static_cast<int64_t>(rn / (small_size + 1)) + 1;
+        } else {
+          tile = static_cast<int64_t>(big + (rn - big_total) / small_size) + 1;
+        }
+      }
+      out->SetInt64(row, tile);
+      break;
+    }
+    default:
+      HWF_CHECK_MSG(false, "not a rank function");
+  }
+}
+
 /// Shared machinery of the MST-based rank functions (§4.4).
 ///
 /// The function-level ORDER BY is preprocessed into integer codes over all
@@ -105,6 +162,7 @@ Status EvalRankT(const PartitionView& view, const WindowFunctionCall& call,
   const bool dense = call.kind == WindowFunctionKind::kRank ||
                      call.kind == WindowFunctionKind::kPercentRank ||
                      call.kind == WindowFunctionKind::kCumeDist;
+  const bool count_peers = call.kind == WindowFunctionKind::kCumeDist;
   StatusOr<std::shared_ptr<const RankArtifact<Index>>> artifact_or =
       RankArtifact<Index>::Obtain(view, call, dense);
   if (!artifact_or.ok()) return artifact_or.status();
@@ -116,85 +174,40 @@ Status EvalRankT(const PartitionView& view, const WindowFunctionCall& call,
       0, n,
       [&](size_t lo, size_t hi) {
         RowRange ranges[FrameRanges::kMaxRanges];
-        for (size_t i = lo; i < hi; ++i) {
-          const size_t row = view.rows[i];
-          const size_t num_ranges =
-              MapRangesToFiltered(view.frames[i], remap, ranges);
-          size_t frame_rows = 0;
-          for (size_t r = 0; r < num_ranges; ++r) {
-            frame_rows += ranges[r].size();
-          }
-          auto count_less = [&](Index threshold) {
-            size_t count = 0;
+        // One batched count query per frame range per chunk row; counts
+        // are integer sums, so the per-range addition order is immaterial.
+        struct RowTask {
+          size_t view_index;
+          size_t frame_rows;
+          size_t num_ranges;
+        };
+        std::vector<typename MergeSortTree<Index>::CountQuery> queries;
+        std::vector<RowTask> tasks;
+        std::vector<size_t> counts;
+        for (size_t chunk = lo; chunk < hi; chunk += kProbeChunkRows) {
+          const size_t chunk_end = std::min(hi, chunk + kProbeChunkRows);
+          queries.clear();
+          tasks.clear();
+          for (size_t i = chunk; i < chunk_end; ++i) {
+            const size_t num_ranges =
+                MapRangesToFiltered(view.frames[i], remap, ranges);
+            const Index threshold =
+                count_peers ? static_cast<Index>(codes[i] + 1) : codes[i];
+            size_t frame_rows = 0;
             for (size_t r = 0; r < num_ranges; ++r) {
-              count +=
-                  tree.CountLess(ranges[r].begin, ranges[r].end, threshold);
+              frame_rows += ranges[r].size();
+              queries.push_back({ranges[r].begin, ranges[r].end, threshold});
             }
-            return count;
-          };
-          switch (call.kind) {
-            case WindowFunctionKind::kRank:
-              out->SetInt64(row,
-                            static_cast<int64_t>(1 + count_less(codes[i])));
-              break;
-            case WindowFunctionKind::kRowNumber:
-              out->SetInt64(row,
-                            static_cast<int64_t>(1 + count_less(codes[i])));
-              break;
-            case WindowFunctionKind::kPercentRank: {
-              if (frame_rows <= 1) {
-                out->SetDouble(row, 0.0);
-              } else {
-                const size_t rank = 1 + count_less(codes[i]);
-                out->SetDouble(row, static_cast<double>(rank - 1) /
-                                        static_cast<double>(frame_rows - 1));
-              }
-              break;
-            }
-            case WindowFunctionKind::kCumeDist: {
-              if (frame_rows == 0) {
-                out->SetNull(row);
-              } else {
-                const size_t leq =
-                    count_less(static_cast<Index>(codes[i] + 1));
-                out->SetDouble(row, static_cast<double>(leq) /
-                                        static_cast<double>(frame_rows));
-              }
-              break;
-            }
-            case WindowFunctionKind::kNtile: {
-              if (frame_rows == 0) {
-                out->SetNull(row);
-                break;
-              }
-              const size_t buckets = static_cast<size_t>(call.param);
-              // 0-based index of the current row among the frame rows in
-              // function order (insertion position when the row itself is
-              // outside the frame).
-              size_t rn = count_less(codes[i]);
-              if (rn >= frame_rows) rn = frame_rows - 1;
-              int64_t tile;
-              if (buckets >= frame_rows) {
-                tile = static_cast<int64_t>(rn) + 1;
-              } else {
-                // SQL NTILE: the first (frame_rows % buckets) buckets get
-                // one extra row.
-                const size_t big = frame_rows % buckets;
-                const size_t small_size = frame_rows / buckets;
-                const size_t big_total = big * (small_size + 1);
-                if (rn < big_total) {
-                  tile = static_cast<int64_t>(rn / (small_size + 1)) + 1;
-                } else {
-                  tile = static_cast<int64_t>(big +
-                                              (rn - big_total) / small_size) +
-                         1;
-                }
-              }
-              out->SetInt64(row, tile);
-              break;
-            }
-            default:
-              HWF_CHECK_MSG(false, "not a rank function");
+            tasks.push_back({i, frame_rows, num_ranges});
+          }
+          counts.resize(queries.size());
+          tree.CountLessBatch(queries, kProbeGroupSize, counts.data());
+          size_t q = 0;
+          for (const RowTask& task : tasks) {
+            size_t count = 0;
+            for (size_t r = 0; r < task.num_ranges; ++r) count += counts[q++];
+            WriteRankResult(call, view.rows[task.view_index], count,
+                            task.frame_rows, out);
           }
         }
       },

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "mst/aggregate_ops.h"
+#include "tests/mst_test_util.h"
 
 namespace hwf {
 namespace {
@@ -30,18 +31,33 @@ Fixture MakeFixture(size_t n, uint64_t seed) {
   return f;
 }
 
+/// Answers `queries` through the batched cover kernel.
+template <typename Tree>
+auto AggregateAll(const Tree& tree,
+                  const std::vector<typename Tree::CountQuery>& queries) {
+  std::vector<std::optional<typename Tree::State>> out(queries.size());
+  tree.AggregateLessBatch(queries, kProbeGroupSize, out.data());
+  return out;
+}
+
+/// AggregateLessBatch for a single query.
+template <typename Tree>
+auto AggregateOne(const Tree& tree, size_t lo, size_t hi, uint32_t t) {
+  return AggregateAll(tree, {{lo, hi, t}})[0];
+}
+
 TEST(AnnotatedMst, SumHandChecked) {
   // keys:    3 1 2 1 0
   // inputs: 10 20 30 40 50
   auto tree = AnnotatedMergeSortTree<uint32_t, SumOps>::Build(
       {3, 1, 2, 1, 0}, {10, 20, 30, 40, 50});
   // Entries in [0,5) with key < 2: positions 1 (20), 3 (40), 4 (50).
-  EXPECT_EQ(tree.AggregateLess(0, 5, 2).value(), 110.0);
+  EXPECT_EQ(AggregateOne(tree, 0, 5, 2).value(), 110.0);
   // Empty qualification.
-  EXPECT_FALSE(tree.AggregateLess(0, 5, 0).has_value());
-  EXPECT_FALSE(tree.AggregateLess(2, 2, 10).has_value());
+  EXPECT_FALSE(AggregateOne(tree, 0, 5, 0).has_value());
+  EXPECT_FALSE(AggregateOne(tree, 2, 2, 10).has_value());
   // Single element.
-  EXPECT_EQ(tree.AggregateLess(0, 1, 4).value(), 10.0);
+  EXPECT_EQ(AggregateOne(tree, 0, 1, 4).value(), 10.0);
 }
 
 using Params = std::tuple<size_t, size_t, size_t>;
@@ -56,12 +72,11 @@ TEST_P(AnnotatedMstParamTest, SumMatchesBruteForce) {
   Fixture f = MakeFixture(n, n * 3 + fanout);
   auto tree = AnnotatedMergeSortTree<uint32_t, SumOps>::Build(
       f.keys, f.inputs, options);
-  Pcg32 rng(n + 1);
-  for (int q = 0; q < 150; ++q) {
-    size_t lo = rng.Bounded(static_cast<uint32_t>(n + 1));
-    size_t hi = rng.Bounded(static_cast<uint32_t>(n + 1));
-    if (lo > hi) std::swap(lo, hi);
-    const uint32_t t = rng.Bounded(static_cast<uint32_t>(n / 3 + 3));
+  const auto queries =
+      test::RandomCountQueries(n, static_cast<uint32_t>(n / 3 + 3), 150, n + 1);
+  const auto results = AggregateAll(tree, queries);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const auto& [lo, hi, t] = queries[q];
     double expected = 0;
     bool any = false;
     for (size_t i = lo; i < hi; ++i) {
@@ -70,7 +85,7 @@ TEST_P(AnnotatedMstParamTest, SumMatchesBruteForce) {
         any = true;
       }
     }
-    std::optional<double> actual = tree.AggregateLess(lo, hi, t);
+    const std::optional<double>& actual = results[q];
     ASSERT_EQ(actual.has_value(), any);
     if (any) {
       EXPECT_DOUBLE_EQ(*actual, expected);
@@ -88,12 +103,12 @@ TEST_P(AnnotatedMstParamTest, MinMaxMatchBruteForce) {
       f.keys, f.inputs, options);
   auto max_tree = AnnotatedMergeSortTree<uint32_t, MaxOps>::Build(
       f.keys, f.inputs, options);
-  Pcg32 rng(n + 2);
-  for (int q = 0; q < 100; ++q) {
-    size_t lo = rng.Bounded(static_cast<uint32_t>(n + 1));
-    size_t hi = rng.Bounded(static_cast<uint32_t>(n + 1));
-    if (lo > hi) std::swap(lo, hi);
-    const uint32_t t = rng.Bounded(static_cast<uint32_t>(n / 3 + 3));
+  const auto queries =
+      test::RandomCountQueries(n, static_cast<uint32_t>(n / 3 + 3), 100, n + 2);
+  const auto mins = AggregateAll(min_tree, queries);
+  const auto maxes = AggregateAll(max_tree, queries);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const auto& [lo, hi, t] = queries[q];
     std::optional<double> expected_min;
     std::optional<double> expected_max;
     for (size_t i = lo; i < hi; ++i) {
@@ -106,8 +121,8 @@ TEST_P(AnnotatedMstParamTest, MinMaxMatchBruteForce) {
                            : f.inputs[i];
       }
     }
-    EXPECT_EQ(min_tree.AggregateLess(lo, hi, t), expected_min);
-    EXPECT_EQ(max_tree.AggregateLess(lo, hi, t), expected_max);
+    EXPECT_EQ(mins[q], expected_min);
+    EXPECT_EQ(maxes[q], expected_max);
   }
 }
 
@@ -119,12 +134,11 @@ TEST_P(AnnotatedMstParamTest, AvgStateMatchesBruteForce) {
   Fixture f = MakeFixture(n, n * 7 + sampling);
   auto tree = AnnotatedMergeSortTree<uint32_t, AvgOps>::Build(
       f.keys, f.inputs, options);
-  Pcg32 rng(n + 3);
-  for (int q = 0; q < 100; ++q) {
-    size_t lo = rng.Bounded(static_cast<uint32_t>(n + 1));
-    size_t hi = rng.Bounded(static_cast<uint32_t>(n + 1));
-    if (lo > hi) std::swap(lo, hi);
-    const uint32_t t = rng.Bounded(static_cast<uint32_t>(n / 3 + 3));
+  const auto queries =
+      test::RandomCountQueries(n, static_cast<uint32_t>(n / 3 + 3), 100, n + 3);
+  const auto results = AggregateAll(tree, queries);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const auto& [lo, hi, t] = queries[q];
     double sum = 0;
     int64_t count = 0;
     for (size_t i = lo; i < hi; ++i) {
@@ -133,7 +147,7 @@ TEST_P(AnnotatedMstParamTest, AvgStateMatchesBruteForce) {
         ++count;
       }
     }
-    std::optional<AvgOps::State> actual = tree.AggregateLess(lo, hi, t);
+    const std::optional<AvgOps::State>& actual = results[q];
     ASSERT_EQ(actual.has_value(), count > 0);
     if (count > 0) {
       EXPECT_DOUBLE_EQ(actual->sum, sum);
@@ -160,15 +174,8 @@ TEST(AnnotatedMst, ParallelChunkedBuildMatchesSerial) {
       f.keys, f.inputs, options, serial_pool);
   auto parallel = AnnotatedMergeSortTree<uint32_t, SumOps>::Build(
       f.keys, f.inputs, options, parallel_pool);
-  Pcg32 rng(7);
-  for (int q = 0; q < 300; ++q) {
-    size_t lo = rng.Bounded(30001);
-    size_t hi = rng.Bounded(30001);
-    if (lo > hi) std::swap(lo, hi);
-    const uint32_t t = rng.Bounded(10002);
-    EXPECT_EQ(serial.AggregateLess(lo, hi, t),
-              parallel.AggregateLess(lo, hi, t));
-  }
+  const auto queries = test::RandomCountQueries(30000, 10002, 300, 7);
+  EXPECT_EQ(AggregateAll(serial, queries), AggregateAll(parallel, queries));
 }
 
 TEST(AnnotatedMst, Int64SumsAreExact) {
@@ -177,7 +184,7 @@ TEST(AnnotatedMst, Int64SumsAreExact) {
   std::vector<int64_t> inputs = {(int64_t{1} << 53) + 1, 1, 2, 3};
   auto tree = AnnotatedMergeSortTree<uint32_t, SumInt64Ops>::Build(
       std::move(keys), std::move(inputs));
-  EXPECT_EQ(tree.AggregateLess(0, 4, 4).value(), (int64_t{1} << 53) + 7);
+  EXPECT_EQ(AggregateOne(tree, 0, 4, 4).value(), (int64_t{1} << 53) + 7);
 }
 
 }  // namespace

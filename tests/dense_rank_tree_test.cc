@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -19,20 +20,29 @@ size_t BruteDistinctLess(const std::vector<uint32_t>& codes, size_t lo,
   return seen.size();
 }
 
+/// CountDistinctLessBatch for a single query.
+size_t CountDistinctOne(const DenseRankTree<uint32_t>& tree, size_t lo,
+                        size_t hi, uint32_t code) {
+  const DenseRankTree<uint32_t>::DistinctQuery query{lo, hi, code};
+  size_t out = 0;
+  tree.CountDistinctLessBatch(std::span(&query, 1), kProbeGroupSize, &out);
+  return out;
+}
+
 TEST(DenseRankTree, HandChecked) {
   // codes:    2 0 2 1 0 1
   std::vector<uint32_t> codes = {2, 0, 2, 1, 0, 1};
   auto tree = DenseRankTree<uint32_t>::Build(codes);
   // Whole range, code 2: distinct {0, 1} = 2.
-  EXPECT_EQ(tree.CountDistinctLess(0, 6, 2), 2u);
+  EXPECT_EQ(CountDistinctOne(tree, 0, 6, 2), 2u);
   // [0, 2): codes {2, 0}; distinct < 2 = {0} = 1.
-  EXPECT_EQ(tree.CountDistinctLess(0, 2, 2), 1u);
+  EXPECT_EQ(CountDistinctOne(tree, 0, 2, 2), 1u);
   // [2, 5): codes {2, 1, 0}; distinct < 1 = {0}.
-  EXPECT_EQ(tree.CountDistinctLess(2, 5, 1), 1u);
+  EXPECT_EQ(CountDistinctOne(tree, 2, 5, 1), 1u);
   // Nothing smaller than 0.
-  EXPECT_EQ(tree.CountDistinctLess(0, 6, 0), 0u);
+  EXPECT_EQ(CountDistinctOne(tree, 0, 6, 0), 0u);
   // Empty range.
-  EXPECT_EQ(tree.CountDistinctLess(3, 3, 99), 0u);
+  EXPECT_EQ(CountDistinctOne(tree, 3, 3, 99), 0u);
 }
 
 TEST(DenseRankTree, RandomizedAgainstBruteForce) {
@@ -42,13 +52,18 @@ TEST(DenseRankTree, RandomizedAgainstBruteForce) {
     const uint32_t num_codes = static_cast<uint32_t>(n / 4 + 2);
     for (auto& c : codes) c = rng.Bounded(num_codes);
     auto tree = DenseRankTree<uint32_t>::Build(codes);
+    std::vector<DenseRankTree<uint32_t>::DistinctQuery> queries;
     for (int q = 0; q < 200; ++q) {
       size_t lo = rng.Bounded(static_cast<uint32_t>(n + 1));
       size_t hi = rng.Bounded(static_cast<uint32_t>(n + 1));
       if (lo > hi) std::swap(lo, hi);
-      const uint32_t code = rng.Bounded(num_codes + 1);
-      EXPECT_EQ(tree.CountDistinctLess(lo, hi, code),
-                BruteDistinctLess(codes, lo, hi, code))
+      queries.push_back({lo, hi, rng.Bounded(num_codes + 1)});
+    }
+    std::vector<size_t> counts(queries.size());
+    tree.CountDistinctLessBatch(queries, kProbeGroupSize, counts.data());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const auto& [lo, hi, code] = queries[q];
+      EXPECT_EQ(counts[q], BruteDistinctLess(codes, lo, hi, code))
           << "n=" << n << " lo=" << lo << " hi=" << hi << " code=" << code;
     }
   }
@@ -57,14 +72,14 @@ TEST(DenseRankTree, RandomizedAgainstBruteForce) {
 TEST(DenseRankTree, AllEqualAndAllDistinct) {
   std::vector<uint32_t> equal(100, 5);
   auto equal_tree = DenseRankTree<uint32_t>::Build(equal);
-  EXPECT_EQ(equal_tree.CountDistinctLess(0, 100, 5), 0u);
-  EXPECT_EQ(equal_tree.CountDistinctLess(0, 100, 6), 1u);
+  EXPECT_EQ(CountDistinctOne(equal_tree, 0, 100, 5), 0u);
+  EXPECT_EQ(CountDistinctOne(equal_tree, 0, 100, 6), 1u);
 
   std::vector<uint32_t> distinct(100);
   for (size_t i = 0; i < 100; ++i) distinct[i] = static_cast<uint32_t>(i);
   auto distinct_tree = DenseRankTree<uint32_t>::Build(distinct);
-  EXPECT_EQ(distinct_tree.CountDistinctLess(0, 100, 50), 50u);
-  EXPECT_EQ(distinct_tree.CountDistinctLess(25, 75, 50), 25u);
+  EXPECT_EQ(CountDistinctOne(distinct_tree, 0, 100, 50), 50u);
+  EXPECT_EQ(CountDistinctOne(distinct_tree, 25, 75, 50), 25u);
 }
 
 TEST(DenseRankTree, MemoryIsQuadraticInLogN) {

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "tests/window_test_util.h"
+#include "window/spec.h"
 
 namespace hwf {
 namespace {
@@ -348,6 +351,64 @@ TEST(FrameFuzz, ResolverMatchesFirstPrinciplesOracle) {
             << " asc=" << oracle.ascending;
       }
     }
+  }
+}
+
+// The rank family answers every frame shape the resolver produces (all
+// modes, constant and per-row bounds, every exclusion, with and without a
+// FILTER) through the batched count kernel; it must match the naive
+// evaluator.
+TEST(FrameFuzz, RankFamilyMatchesNaiveOverFuzzedFrames) {
+  // test::MakeRandomTable columns.
+  constexpr size_t kGrp = 0;
+  constexpr size_t kOrd = 1;
+  constexpr size_t kVal = 2;
+  constexpr size_t kPrice = 3;
+  constexpr size_t kFlag = 5;
+  constexpr size_t kOff = 6;
+  const WindowFunctionKind kinds[] = {
+      WindowFunctionKind::kRank, WindowFunctionKind::kRowNumber,
+      WindowFunctionKind::kPercentRank, WindowFunctionKind::kCumeDist,
+      WindowFunctionKind::kNtile};
+  Pcg32 rng(515151);
+  for (int round = 0; round < 60; ++round) {
+    const Table table = test::MakeRandomTable(
+        200 + rng.Bounded(900), /*seed=*/7000 + round,
+        /*partitions=*/1 + static_cast<int>(rng.Bounded(3)));
+    WindowSpec spec;
+    spec.partition_by = {kGrp};
+    spec.order_by = {SortKey{kOrd, rng.Bounded(2) == 0, rng.Bounded(2) == 0}};
+    spec.frame.mode = static_cast<FrameMode>(rng.Bounded(3));
+    spec.frame.begin = RandomBound(rng, true, true);
+    spec.frame.end = RandomBound(rng, false, true);
+    // Per-row offsets come from the table's offset column.
+    if (spec.frame.begin.offset_column.has_value()) {
+      spec.frame.begin.offset_column = kOff;
+    }
+    if (spec.frame.end.offset_column.has_value()) {
+      spec.frame.end.offset_column = kOff;
+    }
+    spec.frame.exclusion = static_cast<FrameExclusion>(rng.Bounded(4));
+    WindowFunctionCall call;
+    call.kind = kinds[round % 5];
+    if (rng.Bounded(2) == 0) {
+      call.order_by = {SortKey{rng.Bounded(2) ? kVal : kPrice,
+                               rng.Bounded(2) == 0, rng.Bounded(2) == 0}};
+    }
+    if (rng.Bounded(2) == 0) call.filter = kFlag;
+    call.param = 1 + rng.Bounded(7);
+    if (!ValidateWindowSpec(table, spec).ok() ||
+        !ValidateWindowCall(table, spec, call).ok()) {
+      continue;
+    }
+    test::ExpectMatchesNaive(
+        table, spec, call,
+        "round " + std::to_string(round) + " " +
+            WindowFunctionKindName(call.kind) +
+            " mode=" + std::to_string(static_cast<int>(spec.frame.mode)) +
+            " excl=" +
+            std::to_string(static_cast<int>(spec.frame.exclusion)) +
+            " filter=" + std::to_string(call.filter.has_value()));
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the streaming-ingest subsystem: delta-table buffering, catalog
-// version-counter semantics, the merged main+delta probe path, background
+// version-counter semantics, delta-merged sort artifacts, background
 // compaction, dead-epoch cache GC and concurrent mutation safety. The
 // load-bearing property throughout is bit-identity: a query over a table
 // grown by APPEND/UPSERT must return exactly the bytes a cold re-register
@@ -36,10 +36,10 @@ using service::QueryResult;
 using service::QueryService;
 using service::ServiceOptions;
 
-// This suite asserts on cache behavior (probe-only warm queries, merged
-// cursors); the forced-spill CI job's HWF_TEST_MEMORY_LIMIT would act as a
-// per-query budget, which by design disables cross-query caching. The
-// forced-spill differential below opts back into a budget explicitly.
+// This suite asserts on cache behavior (probe-only warm queries, delta
+// merges); the forced-spill CI job's HWF_TEST_MEMORY_LIMIT would budget
+// every uncached execution as well. The forced-spill differential below
+// opts into a budget explicitly.
 const bool g_env_cleared = [] {
   unsetenv("HWF_TEST_MEMORY_LIMIT");
   return true;
@@ -346,10 +346,10 @@ TEST(CatalogVersioning, LiveEpochsTracksRegistrations) {
 // Service differential: append + query vs cold re-register, bit-identical
 // ---------------------------------------------------------------------------
 
-/// Frames and functions chosen to cover the probe paths that consult the
-/// delta: holistic selection (percentile/median — the merged two-tree
-/// cursor), distinct aggregation, ranking and plain sums, across ROWS /
-/// GROUPS / RANGE frames, partitioned and global, with exclusions.
+/// Frames and functions chosen to cover every tree family an appended
+/// state rebuilds: holistic selection (percentile/median), distinct
+/// aggregation, ranking and plain sums, across ROWS / GROUPS / RANGE
+/// frames, partitioned and global, with exclusions.
 const std::vector<std::string> kDifferentialSql = {
     "select percentile_disc(0.5 order by val) over (order by ord rows "
     "between 200 preceding and current row) from t",
@@ -459,9 +459,8 @@ TEST(IngestDifferential, UpsertedStateMatchesColdRebuild) {
 
 TEST(IngestDifferential, ForcedSpillStillMatchesColdRebuild) {
   // A per-query budget routes execution through the spill paths and (by
-  // design) disables the tree cache, so the merged-cursor fast path falls
-  // back to a full rebuild — the answer must not change. This is the same
-  // code path the forced-spill CI job drives via HWF_TEST_MEMORY_LIMIT.
+  // design) disables the tree cache, so the delta-merged sort falls back
+  // to a full re-sort — the answer must not change.
   const Table base = test::MakeRandomTable(15000, 47);
   const Table batch = test::MakeRandomTable(600, 48);
 
@@ -485,7 +484,7 @@ TEST(IngestDifferential, ForcedSpillStillMatchesColdRebuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-path guarantees: probe-only repeats, merged cursors, delta merges
+// Warm-path guarantees: probe-only repeats, delta merges
 // ---------------------------------------------------------------------------
 
 TEST(IngestWarmPath, AppendKeepsWarmQueriesProbeOnly) {
@@ -504,10 +503,10 @@ TEST(IngestWarmPath, AppendKeepsWarmQueriesProbeOnly) {
 
   ASSERT_TRUE(svc.AppendRows("t", test::MakeRandomTable(800, 52, 1, 0.1)).ok());
 
-  // First post-append query: the base sort permutation and the base trees
-  // come from the cache; only the 800 delta rows are sorted (kDeltaMerge)
-  // and probed through the merged two-tree cursor. The full-table sort
-  // phase must not run.
+  // First post-append query: the base sort permutation comes from the
+  // cache; only the 800 delta rows are sorted (kDeltaMerge) and merged into
+  // it, and the selection tree is rebuilt over the combined partition. The
+  // full-table sort phase must not run.
   obs::CounterDeltaTracker tracker;
   StatusOr<QueryResult> first = svc.Query(sql);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -515,12 +514,10 @@ TEST(IngestWarmPath, AppendKeepsWarmQueriesProbeOnly) {
   EXPECT_GT(first->profile->phase_seconds(obs::ProfilePhase::kDeltaMerge), 0.0);
   EXPECT_GE(tracker.DeltaOf(obs::Counter::kIngestDeltaMerges), 1u)
       << "sort artifact should be delta-merged, not rebuilt";
-  EXPECT_GE(tracker.DeltaOf(obs::Counter::kIngestMergedCursorBuilds), 1u)
-      << "percentile should probe main+delta through the merged cursor";
 
-  // Repeat query at the same delta state: everything (including the merged
-  // cursor) is cached — fully probe-only, exactly like a warm query on an
-  // unmutated table.
+  // Repeat query at the same delta state: everything (including the
+  // rebuilt tree) is cached — fully probe-only, exactly like a warm query
+  // on an unmutated table.
   StatusOr<QueryResult> repeat = svc.Query(sql);
   ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
   EXPECT_EQ(repeat->profile->phase_seconds(obs::ProfilePhase::kSort), 0.0);
@@ -546,8 +543,7 @@ TEST(IngestWarmPath, CompactionPreservesEveryCachedArtifact) {
   // Compaction preserves row ids, epoch and gen, so every combined-state
   // artifact keeps its key. The sort permutation was cached as a side
   // effect of the delta merge, so the first post-compaction query never
-  // re-sorts (it does build the full-partition selection tree the merged
-  // cursor made unnecessary before); the repeat is fully probe-only.
+  // re-sorts; the repeat is fully probe-only.
   StatusOr<Catalog::TableMeta> meta = svc.CompactTable("t");
   ASSERT_TRUE(meta.ok()) << meta.status().ToString();
   EXPECT_EQ(meta->delta_rows, 0u);

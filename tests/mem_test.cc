@@ -229,6 +229,55 @@ TEST(ExternalSort, TightBudgetSpillsAndMatchesStdSort) {
   EXPECT_EQ(budget.reserved_bytes(), 0u);
 }
 
+// The coded run merge keeps one offset-value code per buffered element of
+// every reader. When the budget can grant the chunk scratch and the reader
+// buffers but not those code buffers, the merge must fall back to the
+// uncoded kernel (same order) instead of forcing the codes over the limit.
+// A trivially copyable (spillable) record with offset-value-code words.
+struct CodedRow {
+  uint64_t key;
+  uint64_t row;
+  static constexpr size_t kOvcWords = 2;
+  uint64_t OvcWord(size_t w) const { return w == 0 ? key : row; }
+  bool operator<(const CodedRow& o) const {
+    return key != o.key ? key < o.key : row < o.row;
+  }
+  bool operator==(const CodedRow& o) const {
+    return key == o.key && row == o.row;
+  }
+};
+
+TEST(ExternalSort, DeniedOvcCodeBuffersFallBackWithoutOvershoot) {
+  using Row = CodedRow;
+  // 1.5 MiB budget: chunks of 1.5 MiB / 32 = 49152 rows (half the budget
+  // each, plus an equal scratch), so 4 chunks and 4 readers of 4 pages
+  // (1 MiB). Their code buffers (another ~1 MiB) do not fit beside them.
+  const size_t limit = 3 * kSpillPageBytes * 8;
+  const size_t n = 4 * (limit / (2 * sizeof(Row)));
+  std::vector<Row> data(n);
+  Pcg32 rng(11);
+  for (size_t i = 0; i < n; ++i) data[i] = {rng.Bounded(1000), i};
+  std::vector<Row> expected = data;
+  std::sort(expected.begin(), expected.end());
+
+  MemoryBudget budget(limit);
+  MemoryContext ctx{&budget, /*allow_spill=*/true, nullptr};
+  const uint64_t runs_before = obs::Value(obs::Counter::kMemExternalSortRuns);
+  const uint64_t forced_before =
+      obs::Value(obs::Counter::kMemForcedOverBudgetBytes);
+  Status status = SortWithBudget(
+      data, [](const Row& a, const Row& b) { return a < b; },
+      ThreadPool::Default(), ctx, kDefaultMorselSize,
+      PartitionScheme::kThreeWay, /*use_ovc=*/true);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(data, expected);
+  EXPECT_EQ(obs::Value(obs::Counter::kMemExternalSortRuns) - runs_before, 4u);
+  EXPECT_EQ(obs::Value(obs::Counter::kMemForcedOverBudgetBytes) -
+                forced_before,
+            0u);
+  EXPECT_EQ(budget.reserved_bytes(), 0u);
+}
+
 TEST(ExternalSort, UnlimitedBudgetSortsInMemory) {
   std::vector<int64_t> data = {5, 3, 8, 1, 9, 2, 7};
   MemoryContext ctx{};  // No budget at all.

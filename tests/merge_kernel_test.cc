@@ -222,8 +222,8 @@ TEST(LoserTreeMerge, ChunkedMergeMatchesWholeRun) {
 
 /// Full-tree check: level ℓ of a parallel build (whole-run merges on the
 /// lower levels, co-selected chunk merges on the upper ones) must be level
-/// 0 sorted in runs of fanout^ℓ, and CountLess must match a brute-force
-/// count — this exercises the cascade pointers end to end.
+/// 0 sorted in runs of fanout^ℓ, and the batched count must match a
+/// brute-force count — this exercises the cascade pointers end to end.
 TEST(LoserTreeMerge, TreeLevelsMatchSortedRuns) {
   ThreadPool pool(3);
   Pcg32 rng(404);
@@ -248,15 +248,23 @@ TEST(LoserTreeMerge, TreeLevelsMatchSortedRuns) {
               << " level=" << level;
           run_len *= fanout;
         }
+        std::vector<MergeSortTree<uint32_t>::CountQuery> queries;
         for (int q = 0; q < 50; ++q) {
           size_t lo = rng.Bounded(static_cast<uint32_t>(n + 1));
           size_t hi = rng.Bounded(static_cast<uint32_t>(n + 1));
           if (lo > hi) std::swap(lo, hi);
-          const uint32_t t = rng.Bounded(static_cast<uint32_t>(n / 2 + 2));
+          queries.push_back(
+              {lo, hi, rng.Bounded(static_cast<uint32_t>(n / 2 + 2))});
+        }
+        std::vector<size_t> counts(queries.size());
+        tree.CountLessBatch(queries, kProbeGroupSize, counts.data());
+        for (size_t q = 0; q < queries.size(); ++q) {
+          const uint32_t t = queries[q].threshold;
           const size_t expected = static_cast<size_t>(std::count_if(
-              keys.begin() + lo, keys.begin() + hi,
+              keys.begin() + queries[q].pos_lo,
+              keys.begin() + queries[q].pos_hi,
               [t](uint32_t k) { return k < t; }));
-          ASSERT_EQ(tree.CountLess(lo, hi, t), expected);
+          ASSERT_EQ(counts[q], expected);
         }
       }
     }

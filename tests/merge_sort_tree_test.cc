@@ -7,9 +7,16 @@
 #include <vector>
 
 #include "common/random.h"
+#include "tests/mst_test_util.h"
 
 namespace hwf {
 namespace {
+
+using test::CountLessOne;
+using test::LinearCountLess;
+using test::LinearPositionsInRanges;
+using test::RandomCountQueries;
+using test::SelectOne;
 
 std::vector<uint32_t> RandomKeys(size_t n, uint32_t max_key, uint64_t seed) {
   Pcg32 rng(seed);
@@ -18,13 +25,13 @@ std::vector<uint32_t> RandomKeys(size_t n, uint32_t max_key, uint64_t seed) {
   return keys;
 }
 
-size_t BruteCountLess(const std::vector<uint32_t>& keys, size_t lo, size_t hi,
-                      uint32_t threshold) {
-  size_t count = 0;
-  for (size_t i = lo; i < hi; ++i) {
-    if (keys[i] < threshold) ++count;
-  }
-  return count;
+/// Answers `queries` through the batched kernel.
+std::vector<size_t> CountAll(
+    const MergeSortTree<uint32_t>& tree,
+    const std::vector<MergeSortTree<uint32_t>::CountQuery>& queries) {
+  std::vector<size_t> out(queries.size());
+  tree.CountLessBatch(queries, kProbeGroupSize, out.data());
+  return out;
 }
 
 TEST(MergeSortTree, EmptyAndSingle) {
@@ -33,9 +40,9 @@ TEST(MergeSortTree, EmptyAndSingle) {
 
   auto single = MergeSortTree<uint32_t>::Build({7}, {});
   EXPECT_EQ(single.size(), 1u);
-  EXPECT_EQ(single.CountLess(0, 1, 8), 1u);
-  EXPECT_EQ(single.CountLess(0, 1, 7), 0u);
-  EXPECT_EQ(single.CountLess(0, 0, 100), 0u);
+  EXPECT_EQ(CountLessOne<uint32_t>(single, 0, 1, 8), 1u);
+  EXPECT_EQ(CountLessOne<uint32_t>(single, 0, 1, 7), 0u);
+  EXPECT_EQ(CountLessOne<uint32_t>(single, 0, 0, 100), 0u);
 }
 
 TEST(MergeSortTree, TinyHandChecked) {
@@ -46,10 +53,10 @@ TEST(MergeSortTree, TinyHandChecked) {
   options.fanout = 2;
   options.sampling = 1;
   auto tree = MergeSortTree<uint32_t>::Build(keys, options);
-  EXPECT_EQ(tree.CountLess(0, 8, 4), 4u);   // 1, 2, 3, 0
-  EXPECT_EQ(tree.CountLess(2, 5, 4), 2u);   // 2, 3
-  EXPECT_EQ(tree.CountLess(3, 7, 100), 4u); // whole range
-  EXPECT_EQ(tree.CountLess(3, 3, 100), 0u); // empty range
+  EXPECT_EQ(CountLessOne<uint32_t>(tree, 0, 8, 4), 4u);   // 1, 2, 3, 0
+  EXPECT_EQ(CountLessOne<uint32_t>(tree, 2, 5, 4), 2u);   // 2, 3
+  EXPECT_EQ(CountLessOne<uint32_t>(tree, 3, 7, 100), 4u); // whole range
+  EXPECT_EQ(CountLessOne<uint32_t>(tree, 3, 3, 100), 0u); // empty range
 }
 
 TEST(MergeSortTree, SelectHandChecked) {
@@ -58,18 +65,19 @@ TEST(MergeSortTree, SelectHandChecked) {
   std::vector<uint32_t> keys = {5, 1, 4, 2, 3, 0, 7, 6};
   auto tree = MergeSortTree<uint32_t>::Build(keys, {});
   // Keys in [2, 6): positions 0(5), 2(4), 3(2), 4(3). In position order.
-  EXPECT_EQ(tree.Select(2, 6, 0), 0u);
-  EXPECT_EQ(tree.Select(2, 6, 1), 2u);
-  EXPECT_EQ(tree.Select(2, 6, 2), 3u);
-  EXPECT_EQ(tree.Select(2, 6, 3), 4u);
+  const KeyRange<uint32_t> one{2, 6};
+  std::span<const KeyRange<uint32_t>> one_span(&one, 1);
+  EXPECT_EQ(SelectOne(tree, one_span, 0), 0u);
+  EXPECT_EQ(SelectOne(tree, one_span, 1), 2u);
+  EXPECT_EQ(SelectOne(tree, one_span, 2), 3u);
+  EXPECT_EQ(SelectOne(tree, one_span, 3), 4u);
   KeyRange<uint32_t> ranges[2] = {{0, 2}, {6, 8}};
   // Keys in [0,2) or [6,8): positions 1(1), 5(0), 6(7), 7(6).
   std::span<const KeyRange<uint32_t>> span(ranges, 2);
-  EXPECT_EQ(tree.CountKeysInRanges(span), 4u);
-  EXPECT_EQ(tree.Select(span, 0), 1u);
-  EXPECT_EQ(tree.Select(span, 1), 5u);
-  EXPECT_EQ(tree.Select(span, 2), 6u);
-  EXPECT_EQ(tree.Select(span, 3), 7u);
+  EXPECT_EQ(SelectOne(tree, span, 0), 1u);
+  EXPECT_EQ(SelectOne(tree, span, 1), 5u);
+  EXPECT_EQ(SelectOne(tree, span, 2), 6u);
+  EXPECT_EQ(SelectOne(tree, span, 3), 7u);
 }
 
 // (size, fanout, sampling, cascading)
@@ -89,14 +97,12 @@ TEST_P(MergeSortTreeParamTest, CountLessMatchesBruteForce) {
       RandomKeys(n, static_cast<uint32_t>(n / 4 + 1), /*seed=*/n * 31 + fanout);
   auto tree = MergeSortTree<uint32_t>::Build(keys, options);
 
-  Pcg32 rng(n * 7 + sampling);
-  for (int q = 0; q < 200; ++q) {
-    size_t lo = rng.Bounded(static_cast<uint32_t>(n + 1));
-    size_t hi = rng.Bounded(static_cast<uint32_t>(n + 1));
-    if (lo > hi) std::swap(lo, hi);
-    const uint32_t threshold = rng.Bounded(static_cast<uint32_t>(n / 2 + 2));
-    EXPECT_EQ(tree.CountLess(lo, hi, threshold),
-              BruteCountLess(keys, lo, hi, threshold))
+  const auto queries = RandomCountQueries(
+      n, static_cast<uint32_t>(n / 2 + 2), 200, n * 7 + sampling);
+  const std::vector<size_t> counts = CountAll(tree, queries);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const auto& [lo, hi, threshold] = queries[q];
+    EXPECT_EQ(counts[q], LinearCountLess(keys, lo, hi, threshold))
         << "n=" << n << " lo=" << lo << " hi=" << hi << " t=" << threshold;
   }
 }
@@ -119,26 +125,29 @@ TEST_P(MergeSortTreeParamTest, SelectMatchesBruteForce) {
   auto tree = MergeSortTree<uint32_t>::Build(keys, options);
 
   Pcg32 rng(n * 17 + sampling);
+  std::vector<KeyRange<uint32_t>> range_pool;
+  std::vector<MergeSortTree<uint32_t>::SelectQuery> queries;
+  std::vector<size_t> expected;
   for (int q = 0; q < 100; ++q) {
     uint32_t klo = rng.Bounded(static_cast<uint32_t>(n + 1));
     uint32_t khi = rng.Bounded(static_cast<uint32_t>(n + 1));
     if (klo > khi) std::swap(klo, khi);
-    // Brute force: positions with key in [klo, khi), in order.
-    std::vector<size_t> expected;
-    for (size_t i = 0; i < n; ++i) {
-      if (keys[i] >= klo && keys[i] < khi) expected.push_back(i);
-    }
-    KeyRange<uint32_t> range{klo, khi};
-    std::span<const KeyRange<uint32_t>> span(&range, 1);
-    ASSERT_EQ(tree.CountKeysInRanges(span), expected.size());
+    const KeyRange<uint32_t> range{klo, khi};
+    const std::vector<size_t> positions = LinearPositionsInRanges(
+        keys, std::span<const KeyRange<uint32_t>>(&range, 1));
     // Spot-check a few selections.
-    for (size_t probe = 0; probe < std::min<size_t>(expected.size(), 10);
+    for (size_t probe = 0; probe < std::min<size_t>(positions.size(), 10);
          ++probe) {
       const size_t i =
-          probe * std::max<size_t>(expected.size() / 10, 1) % expected.size();
-      EXPECT_EQ(tree.Select(span, i), expected[i]) << "i=" << i;
+          probe * std::max<size_t>(positions.size() / 10, 1) % positions.size();
+      queries.push_back({static_cast<uint32_t>(range_pool.size()), 1, i});
+      expected.push_back(positions[i]);
     }
+    range_pool.push_back(range);
   }
+  std::vector<size_t> selected(queries.size());
+  tree.SelectBatch(range_pool, queries, kProbeGroupSize, selected.data());
+  EXPECT_EQ(selected, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -167,18 +176,9 @@ TEST(MergeSortTree, MultiRangeSelectAcrossHoles) {
                                     {bounds[2], bounds[3]},
                                     {bounds[4], bounds[5]}};
     std::span<const KeyRange<uint32_t>> span(ranges, 3);
-    std::vector<size_t> expected;
-    for (size_t i = 0; i < n; ++i) {
-      for (const auto& r : ranges) {
-        if (keys[i] >= r.lo && keys[i] < r.hi) {
-          expected.push_back(i);
-          break;
-        }
-      }
-    }
-    ASSERT_EQ(tree.CountKeysInRanges(span), expected.size());
+    const std::vector<size_t> expected = LinearPositionsInRanges(keys, span);
     for (size_t i = 0; i < expected.size(); i += 7) {
-      EXPECT_EQ(tree.Select(span, i), expected[i]);
+      EXPECT_EQ(SelectOne(tree, span, i), expected[i]);
     }
   }
 }
@@ -193,8 +193,10 @@ TEST(MergeSortTree, MemoryGrowsWithLevels) {
 TEST(MergeSortTree, SixtyFourBitIndexes) {
   std::vector<uint64_t> keys = {5, 1, 4, 2, 3, 0, 7, 6};
   auto tree = MergeSortTree<uint64_t>::Build(keys, {});
-  EXPECT_EQ(tree.CountLess(0, 8, 4), 4u);
-  EXPECT_EQ(tree.Select(uint64_t{2}, uint64_t{6}, 1), 2u);
+  EXPECT_EQ(CountLessOne<uint64_t>(tree, 0, 8, 4), 4u);
+  const KeyRange<uint64_t> range{2, 6};
+  EXPECT_EQ(SelectOne(tree, std::span<const KeyRange<uint64_t>>(&range, 1), 1),
+            2u);
 }
 
 TEST(MergeSortTree, CascadingMatchesNonCascading) {
@@ -208,13 +210,13 @@ TEST(MergeSortTree, CascadingMatchesNonCascading) {
   without.use_cascading = false;
   auto tree_a = MergeSortTree<uint32_t>::Build(keys, with);
   auto tree_b = MergeSortTree<uint32_t>::Build(keys, without);
-  Pcg32 rng(123);
-  for (int q = 0; q < 300; ++q) {
-    size_t lo = rng.Bounded(n + 1);
-    size_t hi = rng.Bounded(n + 1);
-    if (lo > hi) std::swap(lo, hi);
-    const uint32_t t = rng.Bounded(301);
-    EXPECT_EQ(tree_a.CountLess(lo, hi, t), tree_b.CountLess(lo, hi, t));
+  const auto queries = RandomCountQueries(n, 301, 300, 123);
+  const std::vector<size_t> counts = CountAll(tree_a, queries);
+  EXPECT_EQ(counts, CountAll(tree_b, queries));
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(counts[q], LinearCountLess(keys, queries[q].pos_lo,
+                                         queries[q].pos_hi,
+                                         queries[q].threshold));
   }
   EXPECT_GT(tree_a.MemoryUsageBytes(), tree_b.MemoryUsageBytes());
 }
@@ -239,14 +241,9 @@ TEST(MergeSortTree, ParallelChunkedBuildMatchesSerial) {
             << "n=" << n << " fanout=" << fanout << " level=" << level;
       }
       // Queries agree too (exercises cascade pointers built in chunks).
-      Pcg32 rng(n);
-      for (int q = 0; q < 100; ++q) {
-        size_t lo = rng.Bounded(static_cast<uint32_t>(n + 1));
-        size_t hi = rng.Bounded(static_cast<uint32_t>(n + 1));
-        if (lo > hi) std::swap(lo, hi);
-        const uint32_t t = rng.Bounded(static_cast<uint32_t>(n / 3 + 2));
-        ASSERT_EQ(serial.CountLess(lo, hi, t), parallel.CountLess(lo, hi, t));
-      }
+      const auto queries =
+          RandomCountQueries(n, static_cast<uint32_t>(n / 3 + 2), 100, n);
+      ASSERT_EQ(CountAll(serial, queries), CountAll(parallel, queries));
     }
   }
 }

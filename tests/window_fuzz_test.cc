@@ -180,5 +180,36 @@ TEST(WindowFuzz, RandomSpecsAgreeWithOracle) {
   }
 }
 
+// The rank family alone, on tables larger than one probe chunk (512 rows),
+// so the batched count kernel's chunking and group refills are exercised
+// under every frame shape, exclusion and FILTER.
+TEST(WindowFuzz, RankFamilyAgreesWithOracle) {
+  static const WindowFunctionKind kRankKinds[] = {
+      WindowFunctionKind::kRank, WindowFunctionKind::kRowNumber,
+      WindowFunctionKind::kPercentRank, WindowFunctionKind::kCumeDist,
+      WindowFunctionKind::kNtile};
+  Pcg32 rng(20261018);
+  for (int round = 0; round < 40; ++round) {
+    Table table = MakeRandomTable(600 + rng.Bounded(900),
+                                  /*seed=*/5000 + round,
+                                  /*partitions=*/1 + rng.Bounded(3),
+                                  /*null_fraction=*/0.2);
+    WindowSpec spec = RandomSpec(rng);
+    WindowFunctionCall call = RandomCall(rng);
+    call.kind = kRankKinds[round % 5];
+    if (!ValidateWindowSpec(table, spec).ok() ||
+        !ValidateWindowCall(table, spec, call).ok()) {
+      continue;
+    }
+    SCOPED_TRACE("round " + std::to_string(round) + ": " +
+                 Describe(spec, call));
+    WindowExecutorOptions options;
+    options.tree.fanout = 2 + rng.Bounded(31);
+    options.tree.sampling = 1 + rng.Bounded(64);
+    ExpectMatchesNaive(table, spec, call,
+                       "rank fuzz round " + std::to_string(round), options);
+  }
+}
+
 }  // namespace
 }  // namespace hwf
