@@ -5,7 +5,6 @@
 
 #include "baselines/order_statistic_tree.h"
 #include "baselines/sliding.h"
-#include "mst/permutation.h"
 #include "obs/trace.h"
 #include "window/evaluator.h"
 #include "window/functions/common.h"
@@ -14,7 +13,6 @@ namespace hwf {
 namespace {
 
 using internal_baselines::SlideFrames;
-using internal_window::PositionLess;
 
 /// Sliding order statistic tree over (value, position) pairs — unique keys
 /// make Erase unambiguous.
@@ -89,10 +87,12 @@ Status EvalOrderStatisticTree(const PartitionView& view,
       // Rank via a tree over the function-order codes of the frame rows.
       const IndexRemap remap = BuildCallRemap(view, call, false);
       const std::vector<SortKey> order = EffectiveOrder(*view.spec, call);
-      PositionLess less{&view, order};
-      auto cmp = [&less](size_t a, size_t b) { return less(a, b); };
+      PreprocessRequest req;
+      req.want_dense = true;
       const std::vector<uint64_t> codes =
-          ComputeDenseCodes<uint64_t>(view.size(), cmp, nullptr, *view.pool);
+          internal_window::PreprocessOrder<uint64_t>(
+              view, order, IndexRemap::Identity(view.size()), req)
+              .dense_codes;
       std::vector<double> keys(remap.num_surviving());
       for (size_t j = 0; j < keys.size(); ++j) {
         keys[j] = static_cast<double>(codes[remap.ToOriginal(j)]);

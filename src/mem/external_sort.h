@@ -36,17 +36,11 @@ namespace mem {
 ///
 /// Regime 3 requires T trivially copyable (rows are written to disk raw);
 /// non-trivially-copyable inputs degrade to regime 2 with ForceReserve.
-///
-/// `use_ovc` opts the in-memory sorts and the regime-3 run merge into the
-/// offset-value-coded kernel (see ParallelSortRange); only the in-run
-/// codes of each reader buffer are kept in memory — codes are recomputed
-/// per refill, never spilled.
 template <typename T, typename Less>
 Status SortWithBudget(std::vector<T>& data, Less less, ThreadPool& pool,
                       const MemoryContext& ctx,
                       size_t run_size = kDefaultMorselSize,
-                      PartitionScheme scheme = PartitionScheme::kThreeWay,
-                      bool use_ovc = false) {
+                      PartitionScheme scheme = PartitionScheme::kThreeWay) {
   const size_t n = data.size();
   MemoryBudget* budget = ctx.budget;
   // Cooperative cancellation: a stopped token aborts before the sort (and
@@ -54,7 +48,7 @@ Status SortWithBudget(std::vector<T>& data, Less less, ThreadPool& pool,
   // discards the partially-sorted data on the non-OK Status).
   if (Status stop = CheckStop(); !stop.ok()) return stop;
   if (!ctx.limited() || n <= run_size) {
-    ParallelSort(data, less, pool, run_size, scheme, budget, use_ovc);
+    ParallelSort(data, less, pool, run_size, scheme, budget);
     return CheckStop();
   }
 
@@ -63,7 +57,7 @@ Status SortWithBudget(std::vector<T>& data, Less less, ThreadPool& pool,
   if (buffer_bytes.Reserve(budget, n * sizeof(T)).ok()) {
     std::vector<T> buffer(n);
     ParallelSortRange(data.data(), n, less, pool, run_size, scheme,
-                      buffer.data(), budget, use_ovc);
+                      buffer.data(), budget);
     return CheckStop();
   }
 
@@ -72,14 +66,14 @@ Status SortWithBudget(std::vector<T>& data, Less less, ThreadPool& pool,
     buffer_bytes.ForceReserve(budget, n * sizeof(T));
     std::vector<T> buffer(n);
     ParallelSortRange(data.data(), n, less, pool, run_size, scheme,
-                      buffer.data(), budget, use_ovc);
+                      buffer.data(), budget);
     return Status::OK();
   } else {
     if (!ctx.allow_spill) {
       buffer_bytes.ForceReserve(budget, n * sizeof(T));
       std::vector<T> buffer(n);
       ParallelSortRange(data.data(), n, less, pool, run_size, scheme,
-                        buffer.data(), budget, use_ovc);
+                        buffer.data(), budget);
       return Status::OK();
     }
 
@@ -118,7 +112,7 @@ Status SortWithBudget(std::vector<T>& data, Less less, ThreadPool& pool,
       const size_t lo = c * chunk_elems;
       const size_t hi = std::min(n, lo + chunk_elems);
       ParallelSortRange(data.data() + lo, hi - lo, less, pool, run_size,
-                        scheme, chunk_scratch.data(), budget, use_ovc);
+                        scheme, chunk_scratch.data(), budget);
       runs[c].rows = hi - lo;
       runs[c].region =
           file->AllocateRegion(RunWriter<T>::RegionBytesFor(hi - lo));
@@ -163,56 +157,6 @@ Status SortWithBudget(std::vector<T>& data, Less less, ThreadPool& pool,
         lens[c] = *got;
         pos[c] = 0;
       }
-
-#if defined(HWF_HAS_OVC)
-      if constexpr (kHasOvcTraits<T>) {
-        // Coded streaming merge: each reader buffer gets its in-run codes
-        // recomputed on refill (one linear pass over data just read from
-        // disk — cache-hot), and the tree re-Init on refill re-codes the
-        // heads against -inf exactly as the in-memory kernel does. A budget
-        // that cannot grant the k code buffers gets the uncoded merge
-        // below, which produces the same order without them.
-        const size_t per_reader_elems =
-            pages_per_refill * kSpillPageBytes / sizeof(T) + 1;
-        MemoryReservation code_buf_bytes;
-        if (use_ovc &&
-            code_buf_bytes
-                .Reserve(budget, k * per_reader_elems * sizeof(OvcCode))
-                .ok()) {
-          std::vector<std::vector<OvcCode>> run_codes(k);
-          std::vector<const OvcCode*> code_ptrs(k);
-          for (size_t c = 0; c < k; ++c) {
-            run_codes[c].resize(lens[c]);
-            ComputeOvcRunCodes(src[c], lens[c], run_codes[c].data());
-            code_ptrs[c] = run_codes[c].data();
-          }
-          OvcLoserTree<T> tree;
-          tree.Init(src.data(), lens.data(), k, pos.data(), code_ptrs.data());
-          size_t out = 0;
-          while (out < n) {
-            const size_t c = tree.TopSource();
-            data[out++] = tree.TopKey();
-            tree.Pop();
-            if (pos[c] == lens[c] && !readers[c].exhausted()) {
-              StatusOr<size_t> got = readers[c].Refill();
-              if (!got.ok()) return got.status();
-              if (*got > 0) {
-                src[c] = readers[c].data();
-                lens[c] = *got;
-                pos[c] = 0;
-                run_codes[c].resize(lens[c]);
-                ComputeOvcRunCodes(src[c], lens[c], run_codes[c].data());
-                code_ptrs[c] = run_codes[c].data();
-                tree.Init(src.data(), lens.data(), k, pos.data(),
-                          code_ptrs.data());
-              }
-            }
-          }
-          tree.stats().Flush();
-          return Status::OK();
-        }
-      }
-#endif
 
       LoserTree<T, Less> tree;
       tree.Init(src.data(), lens.data(), k, pos.data(), less);

@@ -37,8 +37,6 @@ const char* PreprocessStepName(PreprocessStep step) {
       return "record_sort";
     case PreprocessStep::kEmitArtifacts:
       return "emit_artifacts";
-    case PreprocessStep::kLegacy:
-      return "legacy";
     case PreprocessStep::kNumSteps:
       break;
   }
@@ -53,8 +51,6 @@ const char* ScopedPreprocessStepTimer::StepTraceName(PreprocessStep step) {
       return "window.preprocess.record_sort";
     case PreprocessStep::kEmitArtifacts:
       return "window.preprocess.emit_artifacts";
-    case PreprocessStep::kLegacy:
-      return "window.preprocess.legacy";
     case PreprocessStep::kNumSteps:
       break;
   }

@@ -59,13 +59,10 @@ const char* ProfilePhaseName(ProfilePhase phase);
 ///   - kRecordSort: the one shared (key, position) record sort.
 ///   - kEmitArtifacts: the morsel-parallel pass emitting permutation,
 ///     dense/unique codes, prevIdcs and nextIdcs from the sorted records.
-///   - kLegacy: evaluators that fell back to the unfused reference path
-///     (generic comparators the fused pipeline cannot encode).
 enum class PreprocessStep : size_t {
   kGatherCodes,
   kRecordSort,
   kEmitArtifacts,
-  kLegacy,
   kNumSteps,
 };
 

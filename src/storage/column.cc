@@ -26,6 +26,7 @@ uint64_t HashBytes(const char* data, size_t len) {
 }
 
 constexpr uint64_t kNullHash = 0x6e756c6c6e756c6cULL;  // "nullnull"
+constexpr uint64_t kCanonicalNanBits = 0x7ff8000000000000ULL;
 
 }  // namespace
 
@@ -218,8 +219,15 @@ int Column::Compare(size_t a, size_t b) const {
   switch (type_) {
     case DataType::kInt64:
       return ints_[a] < ints_[b] ? -1 : (ints_[a] > ints_[b] ? 1 : 0);
-    case DataType::kDouble:
-      return doubles_[a] < doubles_[b] ? -1 : (doubles_[a] > doubles_[b] ? 1 : 0);
+    case DataType::kDouble: {
+      const double x = doubles_[a];
+      const double y = doubles_[b];
+      if (x < y) return -1;
+      if (x > y) return 1;
+      // Equal (-0.0 == 0.0), or a NaN: NaNs equal each other and sort
+      // above every number, so the order stays total.
+      return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
+    }
     case DataType::kString:
       return strings_[a].compare(strings_[b]) < 0
                  ? -1
@@ -236,8 +244,8 @@ uint64_t Column::Hash(size_t row) const {
     case DataType::kDouble: {
       double d = doubles_[row];
       if (d == 0.0) d = 0.0;  // Canonicalize -0.0 to +0.0.
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
+      uint64_t bits = kCanonicalNanBits;  // Every NaN payload is one value.
+      if (!std::isnan(d)) std::memcpy(&bits, &d, sizeof(bits));
       return Mix64(bits);
     }
     case DataType::kString:

@@ -159,11 +159,14 @@ class Column {
   Value GetValue(size_t row) const;
 
   /// Three-way comparison of two non-NULL entries: negative, 0, positive.
-  /// NULL ordering policy is the caller's responsibility.
+  /// NULL ordering policy is the caller's responsibility. Doubles are
+  /// totally ordered: -0.0 equals 0.0, NaNs equal each other and sort above
+  /// +inf (the order of window/sort_keys.h's words).
   int Compare(size_t a, size_t b) const;
 
   /// A 64-bit value hash for partitioning and duplicate detection. Equal
-  /// values hash equally across rows; NULL has a dedicated hash.
+  /// values under Compare hash equally across rows (so every NaN payload
+  /// hashes alike); NULL has a dedicated hash.
   uint64_t Hash(size_t row) const;
 
  private:

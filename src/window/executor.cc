@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 
@@ -15,28 +16,13 @@
 #include "obs/trace.h"
 #include "parallel/parallel_sort.h"
 #include "window/evaluator.h"
-#include "window/functions/common.h"
 #include "window/frame.h"
 #include "window/shared_sort.h"
+#include "window/sort_keys.h"
 
 namespace hwf {
 
 namespace {
-
-/// Compares two rows on one key, including NULL placement.
-int CompareRowsByKey(const Table& table, size_t row_a, size_t row_b,
-                     const SortKey& key) {
-  const Column& column = table.column(key.column);
-  const bool null_a = column.IsNull(row_a);
-  const bool null_b = column.IsNull(row_b);
-  if (null_a || null_b) {
-    if (null_a && null_b) return 0;
-    const int null_cmp = null_a ? -1 : 1;    // NULL first...
-    return key.nulls_first ? null_cmp : -null_cmp;
-  }
-  int cmp = column.Compare(row_a, row_b);
-  return key.ascending ? cmp : -cmp;
-}
 
 DataType ArgType(const Table& table, const WindowFunctionCall& call) {
   HWF_CHECK(call.argument.has_value());
@@ -194,13 +180,10 @@ const char* EngineName(WindowEngine engine) {
   return "unknown";
 }
 
-/// Per-spec execution state derived once per run: the canonical partition
-/// sort keys, cache identities, and the sort-regime decisions.
+/// Per-spec execution state derived once per run: cache identities and the
+/// sort-regime decisions.
 struct SpecExecState {
   const WindowSpec* spec = nullptr;
-  /// Partition columns as sort keys (declared order, asc, nulls first) —
-  /// the prefix of the canonical total order.
-  std::vector<SortKey> partition_keys;
   /// Declared-order sort key: identity of the artifact's arrangement.
   std::string spec_key;
   /// Canonical ordering key: identity of the per-partition row sequences
@@ -216,13 +199,43 @@ struct SpecExecState {
   std::string base_sort_key;
 };
 
+/// A spec's sort words over every table row: its partition keys (declared
+/// order, asc, nulls first), then its ORDER BY keys.
+struct SpecWords {
+  SortKeyWords words;
+  size_t num_partition_keys = 0;
+  mem::MemoryReservation bytes;
+
+  /// Where the partition words change between neighbours in `sorted`, with
+  /// 0 first and sorted.size() last.
+  std::vector<size_t> PartitionStarts(const std::vector<size_t>& sorted) const {
+    std::vector<size_t> starts;
+    starts.push_back(0);
+    for (size_t i = 1; i < sorted.size(); ++i) {
+      if (!words.EqualOnKeys(sorted[i - 1], sorted[i], num_partition_keys)) {
+        starts.push_back(i);
+      }
+    }
+    starts.push_back(sorted.size());
+    return starts;
+  }
+};
+
 }  // namespace
 
 int CompareRowsBy(const Table& table, size_t row_a, size_t row_b,
                   std::span<const SortKey> keys) {
   for (const SortKey& key : keys) {
-    int cmp = CompareRowsByKey(table, row_a, row_b, key);
-    if (cmp != 0) return cmp;
+    const Column& column = table.column(key.column);
+    const bool null_a = column.IsNull(row_a);
+    const bool null_b = column.IsNull(row_b);
+    if (null_a != null_b) {
+      // The NULL side sorts first under NULLS FIRST, last otherwise.
+      return null_a == key.nulls_first ? -1 : 1;
+    }
+    if (null_a) continue;
+    const int cmp = column.Compare(row_a, row_b);
+    if (cmp != 0) return key.ascending ? cmp : -cmp;
   }
   return 0;
 }
@@ -393,38 +406,33 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
   for (size_t g = 0; g < num_groups; ++g) {
     SpecExecState& st = states[g];
     st.spec = specs[g];
-    st.partition_keys.reserve(st.spec->partition_by.size());
-    for (size_t column : st.spec->partition_by) {
-      st.partition_keys.push_back(SortKey{column, true, true});
-    }
     st.spec_key = SortSpecKey(*st.spec);
     st.ordering_key = OrderingKey(*st.spec);
   }
 
   // The canonical total order of a spec's global sort: (partition keys,
-  // order keys, row id). Shared by the cold sort, the delta merge and the
-  // partition-boundary scans so every path agrees bit-for-bit.
-  auto row_less_for = [&table](const SpecExecState& st) {
-    return [&table, &st](size_t a, size_t b) {
-      int cmp = CompareRowsBy(table, a, b, st.partition_keys);
-      if (cmp != 0) return cmp < 0;
-      cmp = CompareRowsBy(table, a, b, st.spec->order_by);
-      if (cmp != 0) return cmp < 0;
-      return a < b;
-    };
-  };
-  auto compute_partition_starts = [&](const SpecExecState& st,
-                                      const std::vector<size_t>& sorted_rows) {
-    std::vector<size_t> starts;
-    starts.push_back(0);
-    for (size_t i = 1; i < sorted_rows.size(); ++i) {
-      if (CompareRowsBy(table, sorted_rows[i - 1], sorted_rows[i],
-                        st.partition_keys) != 0) {
-        starts.push_back(i);
-      }
+  // order keys, row id), compared on the keys' words (window/sort_keys.h).
+  // The cold sort, the bucket sorts, the delta merge and the partition-
+  // boundary scans all run on one encoding, so every path agrees
+  // bit-for-bit. The words cover every table row and are charged to the
+  // budget like the permutation they order; their encoding is timed as
+  // `phase`, the phase that sorts on them.
+  auto encode_spec_words = [&](const SpecExecState& st,
+                               obs::ProfilePhase phase) {
+    obs::ScopedPhaseTimer timer(profile, phase);
+    SpecWords words;
+    std::vector<SortKey> keys;
+    for (size_t column : st.spec->partition_by) {
+      keys.push_back(SortKey{column, true, true});
     }
-    starts.push_back(sorted_rows.size());
-    return starts;
+    keys.insert(keys.end(), st.spec->order_by.begin(),
+                st.spec->order_by.end());
+    std::vector<size_t> all_rows(n);
+    std::iota(all_rows.begin(), all_rows.end(), size_t{0});
+    words.words = SortKeyWords::Encode(table, keys, all_rows, pool);
+    words.num_partition_keys = st.spec->partition_by.size();
+    words.bytes.ForceReserve(&budget, words.words.ApproxBytes());
+    return words;
   };
 
   // Combined hash of a row's partition key tuple. Equal tuples hash equal
@@ -506,8 +514,7 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
   // Phases 1–2 (global-sort regime), as a builder so the cache can skip
   // them entirely on a hit.
   auto build_sort_artifact =
-      [&](const SpecExecState& st) -> StatusOr<SortArtifact> {
-    const WindowSpec& spec = *st.spec;
+      [&](const SpecWords& words) -> StatusOr<SortArtifact> {
     SortArtifact artifact;
     // Phase 1: one global sort by (partition keys, order keys, row id).
     // Partition keys use a fixed canonical order; the row-id tiebreak makes
@@ -522,79 +529,14 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
     std::optional<obs::ScopedPhaseTimer> phase_timer;
     phase_timer.emplace(profile, obs::ProfilePhase::kSort);
     for (size_t i = 0; i < n; ++i) sorted[i] = i;
-    // Fast path standing in for Hyper's generated comparators (§5.4): with
-    // no partitioning and a single numeric ORDER BY key, sort fixed-width
-    // encoded records instead of dispatching a generic comparator per
-    // comparison.
-    const bool encoded_sort =
-        spec.partition_by.empty() && spec.order_by.size() == 1 &&
-        table.column(spec.order_by[0].column).type() != DataType::kString;
-    if (encoded_sort) {
-      const SortKey& key = spec.order_by[0];
-      const Column& column = table.column(key.column);
-      const bool is_int = column.type() == DataType::kInt64;
-      struct SortRec {
-        uint8_t null_rank;
-        uint64_t key;
-        uint64_t row;
-        bool operator<(const SortRec& other) const {
-          if (null_rank != other.null_rank) return null_rank < other.null_rank;
-          if (key != other.key) return key < other.key;
-          return row < other.row;
-        }
-        // The comparison above is exactly this word order, which opts the
-        // record into the offset-value-coded merge kernel. (Enum, not a
-        // static member: local classes cannot have those until C++23.)
-        enum : size_t { kOvcWords = 3 };
-        uint64_t OvcWord(size_t w) const {
-          return w == 0 ? null_rank : w == 1 ? key : row;
-        }
-      };
-      mem::MemoryReservation records_bytes;
-      records_bytes.ForceReserve(&budget, n * sizeof(SortRec));
-      std::vector<SortRec> records(n);
-      ParallelFor(
-          0, n,
-          [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i) {
-              if (column.IsNull(i)) {
-                records[i] = {static_cast<uint8_t>(key.nulls_first ? 0 : 2), 0,
-                              i};
-              } else {
-                records[i] = {
-                    1,
-                    is_int ? internal_window::EncodeInt64Key(column.GetInt64(i),
-                                                             key.ascending)
-                           : internal_window::EncodeDoubleKey(
-                                 column.GetDouble(i), key.ascending),
-                    i};
-              }
-            }
-          },
-          pool, options.morsel_size);
-      Status sort_status = mem::SortWithBudget(
-          records, [](const SortRec& a, const SortRec& b) { return a < b; },
-          pool, mem_ctx, options.morsel_size, PartitionScheme::kThreeWay,
-          /*use_ovc=*/true);
-      if (!sort_status.ok()) return sort_status;
-      ParallelFor(
-          0, n,
-          [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i) {
-              sorted[i] = static_cast<size_t>(records[i].row);
-            }
-          },
-          pool, options.morsel_size);
-    } else {
-      Status sort_status = mem::SortWithBudget(
-          sorted, row_less_for(st), pool, mem_ctx, options.morsel_size);
-      if (!sort_status.ok()) return sort_status;
-    }
+    Status sort_status = mem::SortWithBudget(
+        sorted, words.words.Less(), pool, mem_ctx, options.morsel_size);
+    if (!sort_status.ok()) return sort_status;
 
     // Phase 2: partition boundaries (equal partition keys).
     phase_timer.reset();
     phase_timer.emplace(profile, obs::ProfilePhase::kPartition);
-    artifact.partition_starts = compute_partition_starts(st, sorted);
+    artifact.partition_starts = words.PartitionStarts(sorted);
     phase_timer.reset();
     if (Status stop = CheckStop(); !stop.ok()) return stop;
     return artifact;
@@ -609,8 +551,9 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
   // bit-identical, only the global arrangement of partitions differs
   // (bucket-major instead of key order), which per-row-id result writes
   // never observe.
-  auto build_sort_artifact_hashed =
-      [&](const SpecExecState& st) -> StatusOr<SortArtifact> {
+  auto build_sort_artifact_hashed = [&](const SpecExecState& st,
+                                        const SpecWords& words)
+      -> StatusOr<SortArtifact> {
     const WindowSpec& spec = *st.spec;
     const size_t chunk = std::max<size_t>(options.morsel_size, 1);
     const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
@@ -628,7 +571,7 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
         n * sizeof(uint64_t) + num_chunks * buckets * sizeof(size_t);
     mem::MemoryReservation scratch;
     if (memory_limit > 0 && !scratch.Reserve(&budget, scratch_bytes).ok()) {
-      return build_sort_artifact(st);
+      return build_sort_artifact(words);
     }
 
     SortArtifact artifact;
@@ -693,7 +636,7 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
     // Each bucket holds a handful of whole partitions: sort them
     // independently, in parallel — O(n log(n/B)) total instead of the
     // global O(n log n), with no cross-bucket merge.
-    auto row_less = row_less_for(st);
+    const WordLess row_less = words.words.Less();
     Status sort_status = ParallelForStatus(
         0, buckets,
         [&](size_t b, size_t) -> Status {
@@ -711,7 +654,7 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
     // fall out of the same scan as the global regime.
     phase_timer.reset();
     phase_timer.emplace(profile, obs::ProfilePhase::kPartition);
-    artifact.partition_starts = compute_partition_starts(st, artifact.sorted);
+    artifact.partition_starts = words.PartitionStarts(artifact.sorted);
     phase_timer.reset();
     if (Status stop = CheckStop(); !stop.ok()) return stop;
     return artifact;
@@ -728,11 +671,13 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
   // (self-healing after cache eviction or a cold server start).
   auto build_or_merge_sort_artifact =
       [&](const SpecExecState& st) -> StatusOr<SortArtifact> {
-    auto row_less = row_less_for(st);
     if (st.delta_merge_possible) {
       std::shared_ptr<const SortArtifact> base =
           options.tree_cache->Get<SortArtifact>(st.base_sort_key);
       if (base != nullptr && base->canonical) {
+        const SpecWords words =
+            encode_spec_words(st, obs::ProfilePhase::kDeltaMerge);
+        const WordLess row_less = words.words.Less();
         obs::ScopedPhaseTimer timer(profile, obs::ProfilePhase::kDeltaMerge);
         SortArtifact artifact;
         const size_t base_n = options.delta_base_rows;
@@ -742,16 +687,16 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
         artifact.sorted.resize(n);
         std::merge(base->sorted.begin(), base->sorted.end(), delta.begin(),
                    delta.end(), artifact.sorted.begin(), row_less);
-        artifact.partition_starts =
-            compute_partition_starts(st, artifact.sorted);
+        artifact.partition_starts = words.PartitionStarts(artifact.sorted);
         obs::Add(obs::Counter::kIngestDeltaMerges);
         if (Status stop = CheckStop(); !stop.ok()) return stop;
         return artifact;
       }
     }
+    const SpecWords words = encode_spec_words(st, obs::ProfilePhase::kSort);
     StatusOr<SortArtifact> built = st.hash_partition
-                                       ? build_sort_artifact_hashed(st)
-                                       : build_sort_artifact(st);
+                                       ? build_sort_artifact_hashed(st, words)
+                                       : build_sort_artifact(words);
     if (!built.ok() || !st.delta_merge_possible || !built->canonical) {
       return built;
     }
@@ -761,7 +706,7 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
     for (size_t row : built->sorted) {
       if (row < options.delta_base_rows) base.sorted.push_back(row);
     }
-    base.partition_starts = compute_partition_starts(st, base.sorted);
+    base.partition_starts = words.PartitionStarts(base.sorted);
     const size_t base_bytes = base.ApproxBytes();
     options.tree_cache->Put<SortArtifact>(
         st.base_sort_key,
@@ -783,9 +728,7 @@ StatusOr<std::vector<std::vector<Column>>> EvaluateWindowSpecGroups(
                 bytes};
           });
     }
-    StatusOr<SortArtifact> built = st.hash_partition
-                                       ? build_sort_artifact_hashed(st)
-                                       : build_sort_artifact(st);
+    StatusOr<SortArtifact> built = build_or_merge_sort_artifact(st);
     if (!built.ok()) return built.status();
     return std::make_shared<const SortArtifact>(std::move(*built));
   };

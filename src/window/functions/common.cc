@@ -1,23 +1,7 @@
 #include "window/functions/common.h"
 
-#include <cstring>
-
 namespace hwf {
 namespace internal_window {
-
-uint64_t EncodeInt64Key(int64_t value, bool ascending) {
-  const uint64_t encoded = static_cast<uint64_t>(value) ^ (uint64_t{1} << 63);
-  return ascending ? encoded : ~encoded;
-}
-
-uint64_t EncodeDoubleKey(double value, bool ascending) {
-  if (value == 0.0) value = 0.0;  // Canonicalize -0.0 (SQL: -0.0 = 0.0).
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  const uint64_t encoded =
-      (bits & (uint64_t{1} << 63)) ? ~bits : (bits | (uint64_t{1} << 63));
-  return ascending ? encoded : ~encoded;
-}
 
 uint64_t ModeTieKey(const Column& column, size_t row) {
   switch (column.type()) {

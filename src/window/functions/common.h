@@ -2,14 +2,17 @@
 #define HWF_WINDOW_FUNCTIONS_COMMON_H_
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
+#include "mst/preprocess.h"
 #include "mst/remap.h"
 #include "obs/counters.h"
+#include "obs/profile.h"
 #include "window/evaluator.h"
+#include "window/sort_keys.h"
 
 namespace hwf {
 namespace internal_window {
@@ -58,84 +61,51 @@ inline void GatherRowsWithPrefetch(const size_t* table, const size_t* src,
 }
 
 /// Value codes of the call argument over the filtered positions: 64-bit
-/// codes where equal values get equal codes. For int64 and double arguments
-/// the mapping is injective (Mix64 is a bijection); for strings it is a
-/// high-quality hash (§6.7 — the paper's implementation sorts hashes too).
+/// codes where equal values get equal codes (Column::Hash). For int64 and
+/// double arguments the mapping is injective on values (Mix64 is a
+/// bijection; -0.0 and every NaN payload are canonicalised first); for
+/// strings it is a high-quality hash (§6.7 — the paper's implementation
+/// sorts hashes too).
 std::vector<uint64_t> GatherArgumentCodes(const PartitionView& view,
                                           size_t argument,
                                           const IndexRemap& remap);
 
-/// Order-preserving 64-bit encoding of a numeric sort key: encoded values
-/// compare like (direction-adjusted) SQL values. This is the library's
-/// stand-in for Hyper's generated, query-specialized comparators (§5.4):
-/// the preprocessing sorts compare two machine words instead of calling a
-/// type-dispatching comparator.
-uint64_t EncodeInt64Key(int64_t value, bool ascending);
-uint64_t EncodeDoubleKey(double value, bool ascending);
+/// Fused preprocessing (mst/preprocess.h) of a function order over the
+/// filtered positions: the order's codes (window/sort_keys.h — code order,
+/// position tiebreak, is the SQL order, and equal codes are peers), then
+/// one (code, position) sort that emits the requested artifacts.
+template <typename Index>
+PreprocessResult<Index> PreprocessOrder(const PartitionView& view,
+                                        std::span<const SortKey> order,
+                                        const IndexRemap& remap,
+                                        const PreprocessRequest& req) {
+  std::vector<uint64_t> codes;
+  {
+    obs::ScopedPreprocessStepTimer gather_timer(
+        view.options->profile, obs::PreprocessStep::kGatherCodes);
+    std::vector<size_t> filtered_rows;
+    if (!remap.is_identity()) {
+      filtered_rows.resize(remap.num_surviving());
+      for (size_t j = 0; j < filtered_rows.size(); ++j) {
+        filtered_rows[j] = view.rows[remap.ToOriginal(j)];
+      }
+    }
+    codes = SortKeyWords::Encode(*view.table, order,
+                                 remap.is_identity()
+                                     ? view.rows
+                                     : std::span<const size_t>(filtered_rows),
+                                 *view.pool)
+                .TakeCode(*view.pool);
+  }
+  return PreprocessHashedCodes<Index>(codes, req, *view.pool,
+                                      view.options->profile);
+}
 
 /// Deterministic tie-break key for MODE: order-preserving encoding for
 /// numeric values (ties resolve to the smallest value), value hash for
 /// strings (deterministic but implementation-defined order). Equal values
 /// always map to equal keys, so the key doubles as the value's identity.
 uint64_t ModeTieKey(const Column& column, size_t row);
-
-/// A comparator over *partition positions* under `order` sort keys.
-///
-/// On construction, single-key numeric orders are pre-encoded into
-/// (null_rank, uint64) pairs so the hot comparison is two array loads;
-/// multi-key or string orders fall back to the generic comparator.
-class PositionLess {
- public:
-  PositionLess(const PartitionView* view, std::span<const SortKey> order)
-      : view_(view), order_(order) {
-    if (order.size() != 1) return;
-    const SortKey& key = order[0];
-    const Column& column = view->col(key.column);
-    if (column.type() == DataType::kString) return;
-    const size_t n = view->size();
-    encoded_.resize(n);
-    null_rank_.resize(n);
-    const bool is_int = column.type() == DataType::kInt64;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t row = view->rows[i];
-      if (column.IsNull(row)) {
-        null_rank_[i] = key.nulls_first ? 0 : 2;
-        encoded_[i] = 0;
-      } else {
-        null_rank_[i] = 1;
-        encoded_[i] = is_int
-                          ? EncodeInt64Key(column.GetInt64(row), key.ascending)
-                          : EncodeDoubleKey(column.GetDouble(row),
-                                            key.ascending);
-      }
-    }
-  }
-
-  bool operator()(size_t a, size_t b) const {
-    if (!encoded_.empty()) {
-      if (null_rank_[a] != null_rank_[b]) return null_rank_[a] < null_rank_[b];
-      return encoded_[a] < encoded_[b];
-    }
-    return CompareRowsBy(*view_->table, view_->rows[a], view_->rows[b],
-                         order_) < 0;
-  }
-
-  /// True when the order is pre-encoded — (null_rank, key) pairs fully
-  /// determine the comparison, which is what lets the fused preprocessing
-  /// pipeline sort records instead of calling this comparator.
-  bool encoded() const { return !encoded_.empty(); }
-
-  /// The position's (null rank, encoded key); only valid when encoded().
-  std::pair<uint8_t, uint64_t> EncodedKey(size_t i) const {
-    return {null_rank_[i], encoded_[i]};
-  }
-
- private:
-  const PartitionView* view_;
-  std::span<const SortKey> order_;
-  std::vector<uint64_t> encoded_;
-  std::vector<uint8_t> null_rank_;
-};
 
 }  // namespace internal_window
 }  // namespace hwf

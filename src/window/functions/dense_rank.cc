@@ -7,7 +7,6 @@
 
 #include "common/stop_token.h"
 #include "mst/dense_rank_tree.h"
-#include "mst/permutation.h"
 #include "mst/preprocess.h"
 #include "mst/tree_cache.h"
 #include "obs/profile.h"
@@ -34,26 +33,17 @@ struct DenseRankArtifact {
     result.remap = BuildCallRemap(view, call, /*drop_null_args=*/false);
     const size_t m = result.remap.num_surviving();
     const std::vector<SortKey> order = EffectiveOrder(*view.spec, call);
-    PositionLess less{&view, order};
-    auto cmp = [&less](size_t a, size_t b) { return less(a, b); };
     // Dense-code construction is Algorithm 1 preprocessing (kPreprocess);
     // kProbe then measures the per-row distinct counts only.
     std::vector<Index> filtered_codes(m);
     {
       obs::ScopedPhaseTimer timer(view.options->profile,
                                   obs::ProfilePhase::kPreprocess);
-      if (less.encoded()) {
-        PreprocessRequest req;
-        req.want_dense = true;
-        PreprocessResult<Index> pre = PreprocessOrderKeys<Index>(
-            n, [&less](size_t i) { return less.EncodedKey(i); }, req,
-            *view.pool, view.options->profile);
-        result.codes = std::move(pre.dense_codes);
-      } else {
-        obs::ScopedPreprocessStepTimer legacy_timer(
-            view.options->profile, obs::PreprocessStep::kLegacy);
-        result.codes = ComputeDenseCodes<Index>(n, cmp, nullptr, *view.pool);
-      }
+      PreprocessRequest req;
+      req.want_dense = true;
+      result.codes =
+          PreprocessOrder<Index>(view, order, IndexRemap::Identity(n), req)
+              .dense_codes;
       for (size_t j = 0; j < m; ++j) {
         filtered_codes[j] = result.codes[result.remap.ToOriginal(j)];
       }

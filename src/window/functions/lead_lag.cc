@@ -2,7 +2,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mst/permutation.h"
 #include "obs/profile.h"
 #include "window/evaluator.h"
 #include "window/functions/selection.h"

@@ -7,7 +7,6 @@
 
 #include "common/stop_token.h"
 #include "mst/merge_sort_tree.h"
-#include "mst/permutation.h"
 #include "mst/preprocess.h"
 #include "mst/tree_cache.h"
 #include "obs/profile.h"
@@ -34,30 +33,19 @@ struct RankArtifact {
     result.remap = BuildCallRemap(view, call, /*drop_null_args=*/false);
     const size_t m = result.remap.num_surviving();
     const std::vector<SortKey> order = EffectiveOrder(*view.spec, call);
-    PositionLess less{&view, order};
-    auto cmp = [&less](size_t a, size_t b) { return less(a, b); };
     // Code construction is Algorithm 1 preprocessing (kPreprocess); kProbe
     // then measures the per-row rank counts only.
     std::vector<Index> keys(m);
     {
       obs::ScopedPhaseTimer timer(view.options->profile,
                                   obs::ProfilePhase::kPreprocess);
-      if (less.encoded()) {
-        PreprocessRequest req;
-        req.want_dense = dense;
-        req.want_unique = !dense;
-        PreprocessResult<Index> pre = PreprocessOrderKeys<Index>(
-            n, [&less](size_t i) { return less.EncodedKey(i); }, req,
-            *view.pool, view.options->profile);
-        result.codes =
-            dense ? std::move(pre.dense_codes) : std::move(pre.unique_codes);
-      } else {
-        obs::ScopedPreprocessStepTimer legacy_timer(
-            view.options->profile, obs::PreprocessStep::kLegacy);
-        result.codes =
-            dense ? ComputeDenseCodes<Index>(n, cmp, nullptr, *view.pool)
-                  : ComputeUniqueCodes<Index>(n, cmp, *view.pool);
-      }
+      PreprocessRequest req;
+      req.want_dense = dense;
+      req.want_unique = !dense;
+      PreprocessResult<Index> pre =
+          PreprocessOrder<Index>(view, order, IndexRemap::Identity(n), req);
+      result.codes =
+          dense ? std::move(pre.dense_codes) : std::move(pre.unique_codes);
       for (size_t j = 0; j < m; ++j) {
         keys[j] = result.codes[result.remap.ToOriginal(j)];
       }

@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "common/stop_token.h"
 #include "mst/merge_sort_tree.h"
-#include "mst/permutation.h"
 #include "mst/preprocess.h"
 #include "mst/remap.h"
 #include "mst/tree_cache.h"
@@ -38,37 +37,16 @@ struct SelectionTree {
                              bool drop_null_args) {
     SelectionTree result;
     result.remap = BuildCallRemap(view, call, drop_null_args);
-    const size_t m = result.remap.num_surviving();
     const std::vector<SortKey> order = EffectiveOrder(*view.spec, call);
-    PositionLess less{&view, order};
-    // Compare filtered positions by their underlying rows. The permutation
-    // sort is Algorithm 1 preprocessing, charged to kPreprocess so kProbe
-    // measures query answering only.
+    // The permutation sort is Algorithm 1 preprocessing, charged to
+    // kPreprocess so kProbe measures query answering only.
     std::vector<Index> perm;
     {
       obs::ScopedPhaseTimer timer(view.options->profile,
                                   obs::ProfilePhase::kPreprocess);
-      if (less.encoded()) {
-        PreprocessRequest req;
-        req.want_perm = true;
-        PreprocessResult<Index> pre = PreprocessOrderKeys<Index>(
-            m,
-            [&](size_t j) {
-              return less.EncodedKey(result.remap.ToOriginal(j));
-            },
-            req, *view.pool, view.options->profile);
-        perm = std::move(pre.perm);
-      } else {
-        obs::ScopedPreprocessStepTimer legacy_timer(
-            view.options->profile, obs::PreprocessStep::kLegacy);
-        perm = ComputePermutation<Index>(
-            m,
-            [&](size_t a, size_t b) {
-              return less(result.remap.ToOriginal(a),
-                          result.remap.ToOriginal(b));
-            },
-            *view.pool);
-      }
+      PreprocessRequest req;
+      req.want_perm = true;
+      perm = PreprocessOrder<Index>(view, order, result.remap, req).perm;
     }
     result.tree = MergeSortTree<Index>::Build(std::move(perm),
                                               view.options->tree, *view.pool);

@@ -13,6 +13,12 @@
 namespace hwf {
 namespace {
 
+/// The SQL order of doubles, as Column::Compare defines it: NaNs equal each
+/// other and sort above +inf.
+bool SqlDoubleLess(double a, double b) {
+  return a < b || (std::isnan(b) && !std::isnan(a));
+}
+
 /// The "naive" engine: every frame is re-evaluated from scratch (Wesley &
 /// Xu's naive algorithm, §5.5). O(frame size) — or O(s log s) for
 /// order-based functions — per output row, embarrassingly parallel.
@@ -335,12 +341,12 @@ struct NaiveEvaluator {
             const size_t lo = static_cast<size_t>(std::floor(pos));
             const size_t hi = static_cast<size_t>(std::ceil(pos));
             std::nth_element(value_buffer.begin(), value_buffer.begin() + lo,
-                             value_buffer.end());
+                             value_buffer.end(), SqlDoubleLess);
             const double lo_val = value_buffer[lo];
             double hi_val = lo_val;
             if (hi != lo) {
               hi_val = *std::min_element(value_buffer.begin() + hi,
-                                         value_buffer.end());
+                                         value_buffer.end(), SqlDoubleLess);
             }
             const double t = pos - static_cast<double>(lo);
             out->SetDouble(row, lo_val + t * (hi_val - lo_val));
@@ -349,7 +355,7 @@ struct NaiveEvaluator {
             size_t idx = pos <= 0 ? 0 : static_cast<size_t>(pos);
             if (idx >= total) idx = total - 1;
             std::nth_element(value_buffer.begin(), value_buffer.begin() + idx,
-                             value_buffer.end());
+                             value_buffer.end(), SqlDoubleLess);
             WriteNumeric(row, value_buffer[idx]);
           }
           break;

@@ -1,6 +1,6 @@
 // Differential testing of the offset-value-coded sort path: for every
-// input shape, the OVC kernel (parallel_sort.h / loser_tree.h /
-// external_sort.h with use_ovc) must produce output bit-identical to the
+// input shape, the OVC kernel (parallel_sort.h / loser_tree.h with
+// use_ovc) must produce output bit-identical to the
 // uncoded reference merges — including stability, which the library
 // guarantees through row-id tiebreaks baked into the records.
 #include <gtest/gtest.h>
@@ -8,14 +8,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
-#include "mem/external_sort.h"
 #include "mst/loser_tree.h"
-#include "mst/preprocess.h"
 #include "obs/counters.h"
 #include "parallel/parallel_sort.h"
 #include "parallel/thread_pool.h"
@@ -89,49 +86,6 @@ TEST_P(OvcSortShapeTest, ParallelSortMatchesUncoded) {
   }
 }
 
-// std::pair is not trivially copyable, so SortWithBudget cannot spill it;
-// the external test uses a plain record that can be serialized to runs.
-struct ExtRec {
-  uint64_t key;
-  uint32_t row;
-  static constexpr size_t kOvcWords = 2;
-  uint64_t OvcWord(size_t w) const { return w == 0 ? key : row; }
-  bool operator<(const ExtRec& o) const {
-    return key != o.key ? key < o.key : row < o.row;
-  }
-  bool operator==(const ExtRec& o) const {
-    return key == o.key && row == o.row;
-  }
-};
-static_assert(std::is_trivially_copyable_v<ExtRec>);
-
-TEST_P(OvcSortShapeTest, ExternalSortMatchesUncoded) {
-  const Shape shape = static_cast<Shape>(GetParam());
-  ThreadPool pool(3);
-  auto less = [](const ExtRec& a, const ExtRec& b) { return a < b; };
-  const size_t n = 30000;
-  const std::vector<PairRec> input = MakeInput(shape, n, 99);
-  std::vector<ExtRec> reference(n);
-  for (size_t i = 0; i < n; ++i) {
-    reference[i] = ExtRec{input[i].first, input[i].second};
-  }
-  std::vector<ExtRec> coded = reference;
-  std::sort(reference.begin(), reference.end());
-
-  // A budget far below n*sizeof(PairRec) forces regime 3 (spilled runs +
-  // streaming coded merge with per-refill code recomputation).
-  mem::MemoryBudget budget(64 << 10);
-  mem::MemoryContext ctx;
-  ctx.budget = &budget;
-  ctx.allow_spill = true;
-  ASSERT_TRUE(mem::SortWithBudget(coded, less, pool, ctx, /*run_size=*/256,
-                                  PartitionScheme::kThreeWay,
-                                  /*use_ovc=*/true)
-                  .ok());
-  ASSERT_GT(obs::Value(obs::Counter::kMemExternalSortRuns), 0u);
-  ASSERT_EQ(coded, reference) << "shape " << GetParam();
-}
-
 INSTANTIATE_TEST_SUITE_P(Shapes, OvcSortShapeTest,
                          ::testing::Values(0, 1, 2, 3));
 
@@ -187,10 +141,28 @@ TEST(OvcSort, LoserTreeMergeMatchesUncoded) {
   }
 }
 
-// Three-word records (the executor's SortRec / preprocess.h OrderKeyRec
-// layout) exercise offsets past word 1 and the member-adapter OvcTraits.
+// A three-word record (null rank, key, position) whose comparison is its
+// word order, opting it into the coded kernel through the member adapter.
+struct OrderKeyRec {
+  uint8_t null_rank;
+  uint64_t key;
+  uint32_t pos;
+
+  static constexpr size_t kOvcWords = 3;
+  uint64_t OvcWord(size_t w) const {
+    return w == 0 ? null_rank : w == 1 ? key : pos;
+  }
+  bool operator<(const OrderKeyRec& o) const {
+    if (null_rank != o.null_rank) return null_rank < o.null_rank;
+    if (key != o.key) return key < o.key;
+    return pos < o.pos;
+  }
+};
+
+// Three-word records exercise offsets past word 1 and the member-adapter
+// OvcTraits.
 TEST(OvcSort, OrderKeyRecMatchesUncoded) {
-  using Rec = OrderKeyRec<uint32_t>;
+  using Rec = OrderKeyRec;
   ThreadPool pool(3);
   auto less = [](const Rec& a, const Rec& b) { return a < b; };
   Pcg32 rng(11);

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -64,34 +63,6 @@ TEST(Preprocess, HashedCodesMatchLegacy) {
     EXPECT_EQ(pre.num_distinct, legacy_distinct);
     EXPECT_EQ(pre.unique_codes, ComputeUniqueCodes<uint32_t>(n, cmp, pool));
   }
-}
-
-TEST(Preprocess, OrderKeysMatchLegacy) {
-  ThreadPool pool(3);
-  const size_t n = 15000;
-  Pcg32 rng(78);
-  std::vector<uint8_t> null_rank(n);
-  std::vector<uint64_t> keys(n);
-  for (size_t i = 0; i < n; ++i) {
-    null_rank[i] = static_cast<uint8_t>(rng.Bounded(3));
-    keys[i] = rng.Bounded(64);
-  }
-  auto get = [&](size_t i) {
-    return std::pair<uint8_t, uint64_t>{null_rank[i], keys[i]};
-  };
-  auto cmp = [&](size_t a, size_t b) {
-    if (null_rank[a] != null_rank[b]) return null_rank[a] < null_rank[b];
-    return keys[a] < keys[b];
-  };
-
-  const auto pre =
-      PreprocessOrderKeys<uint32_t>(n, get, AllArtifacts(), pool);
-  EXPECT_EQ(pre.perm, ComputePermutation<uint32_t>(n, cmp, pool));
-  size_t legacy_distinct = 0;
-  EXPECT_EQ(pre.dense_codes,
-            ComputeDenseCodes<uint32_t>(n, cmp, &legacy_distinct, pool));
-  EXPECT_EQ(pre.num_distinct, legacy_distinct);
-  EXPECT_EQ(pre.unique_codes, ComputeUniqueCodes<uint32_t>(n, cmp, pool));
 }
 
 // 64-bit index instantiation takes the emission pass through the other

@@ -363,20 +363,20 @@ TEST(SharedSortExecution, ForcedSpillBitIdentical) {
                                 "forced-spill");
 }
 
-TEST(SharedSortExecution, IngestDeltaStateBitIdentical) {
-  // Same seed => MakeRandomTable(base) is a row-wise prefix of the full
-  // table, exactly the service's append pattern.
-  const size_t base_rows = 4000;
-  Table base = MakeRandomTable(base_rows, 53);
-  Table full = MakeRandomTable(6000, 53);
-
+/// Warms the base table's sort artifacts, then runs `workload` on `full`
+/// (base plus appended rows) in the ingest delta state: every cached base
+/// artifact is merged with the sorted delta, and results must equal a cold
+/// run bit for bit.
+void ExpectDeltaStateMatchesCold(const Table& base, const Table& full,
+                                 const std::vector<SpecAndCalls>& workload,
+                                 const std::string& context) {
+  const size_t base_rows = base.num_rows();
   mst::TreeCache cache(64 << 20);
   WindowExecutorOptions warm;
   warm.tree_cache = &cache;
   warm.cache_key = "c.n" + std::to_string(base_rows);
   warm.content_cache_key = "c";
 
-  std::vector<SpecAndCalls> workload = MixedWorkload();
   std::vector<WindowSpecGroup> groups;
   for (const SpecAndCalls& entry : workload) {
     groups.push_back(WindowSpecGroup{&entry.spec, entry.calls});
@@ -391,8 +391,67 @@ TEST(SharedSortExecution, IngestDeltaStateBitIdentical) {
   delta.delta_base_rows = base_rows;
   delta.delta_base_key = warm.cache_key;
   const obs::CounterDeltaTracker tracker;
-  ExpectMultiSpecMatchesPerSpec(full, workload, delta, {}, "ingest-delta");
+  ExpectMultiSpecMatchesPerSpec(full, workload, delta, {}, context);
   EXPECT_GT(tracker.DeltaOf(obs::Counter::kIngestDeltaMerges), 0u);
+}
+
+TEST(SharedSortExecution, IngestDeltaStateBitIdentical) {
+  // Same seed => MakeRandomTable(base) is a row-wise prefix of the full
+  // table, exactly the service's append pattern.
+  ExpectDeltaStateMatchesCold(MakeRandomTable(4000, 53),
+                              MakeRandomTable(6000, 53), MixedWorkload(),
+                              "ingest-delta");
+}
+
+// MakeSpecialKeyTable schema.
+constexpr size_t kSpD = 0;
+constexpr size_t kSpI = 1;
+constexpr size_t kSpS = 2;
+constexpr size_t kSpV = 3;
+constexpr size_t kSpW = 4;
+
+/// Specs keyed on NaNs, +-inf, +-0.0, INT64_MIN/MAX, the empty string and
+/// NULLs: partitioned by a double, a string and two columns, ordered in
+/// every direction and NULL placement, with prefix and exact consumers.
+std::vector<SpecAndCalls> SpecialKeyWorkload() {
+  std::vector<SpecAndCalls> workload;
+  workload.push_back({Spec({kSpD}, {SortKey{kSpD, true, false}}),
+                      {Call(WindowFunctionKind::kSum, kSpV),
+                       Call(WindowFunctionKind::kRank)}});
+  workload.push_back(
+      {Spec({kSpD}, {SortKey{kSpD, true, false}, SortKey{kSpI, false, true}}),
+       {Call(WindowFunctionKind::kCountDistinct, kSpS)}});
+  workload.push_back({Spec({kSpS, kSpI}, {SortKey{kSpW, true, false}}),
+                      {Call(WindowFunctionKind::kRowNumber)}});
+  workload.push_back({Spec({kSpI, kSpS}, {SortKey{kSpW, true, false}}),
+                      {Call(WindowFunctionKind::kMedian, kSpW)}});
+  workload.push_back({Spec({kSpS}, {SortKey{kSpI, true, true}}),
+                      {Call(WindowFunctionKind::kFirstValue, kSpV),
+                       Call(WindowFunctionKind::kDenseRank)}});
+  workload.push_back({Spec({kSpD, kSpI}, {SortKey{kSpS, false, false},
+                                          SortKey{kSpD, false, true}}),
+                      {Call(WindowFunctionKind::kLag, kSpV)}});
+  workload.push_back({Spec({}, {SortKey{kSpI, false, false}}),
+                      {Call(WindowFunctionKind::kCumeDist)}});
+  return workload;
+}
+
+TEST(SharedSortExecution, SpecialKeysForcedHashBitIdentical) {
+  Table table = test::MakeSpecialKeyTable(4000, 61);
+  WindowExecutorOptions hash;
+  hash.hash_partition = HashPartitionMode::kForce;
+  WindowExecutorOptions global;
+  global.hash_partition = HashPartitionMode::kOff;
+  const obs::CounterDeltaTracker delta;
+  ExpectMultiSpecMatchesPerSpec(table, SpecialKeyWorkload(), hash, global,
+                                "special-keys forced-hash");
+  EXPECT_GT(delta.DeltaOf(obs::Counter::kExecutorHashPartitionedRows), 0u);
+}
+
+TEST(SharedSortExecution, SpecialKeysIngestDeltaStateBitIdentical) {
+  ExpectDeltaStateMatchesCold(test::MakeSpecialKeyTable(3000, 67),
+                              test::MakeSpecialKeyTable(4500, 67),
+                              SpecialKeyWorkload(), "special-keys delta");
 }
 
 }  // namespace

@@ -128,8 +128,9 @@ TEST(SpillDifferential, MedianUnderTightBudgetIsBitIdentical) {
 }
 
 TEST(SpillDifferential, ExternalSortPathIsBitIdentical) {
-  // No partitioning + one numeric key selects the encoded-record sort; a
-  // budget below the record array forces it through the external merge.
+  // A budget that cannot take the row-id merge buffer on top of the
+  // executor's sort state forces the global sort through the external
+  // merge.
   Table table = MakeRandomTable(50000, /*seed=*/12, /*partitions=*/1,
                                 /*null_fraction=*/0.05);
   WindowSpec spec;
@@ -141,11 +142,11 @@ TEST(SpillDifferential, ExternalSortPathIsBitIdentical) {
   call.argument = kVal;
 
   RunOutcome unlimited = RunQuery(table, spec, call, /*memory_limit=*/0);
-  // The sort phase holds the permutation (8 B/row) and the encoded records
-  // (24 B/row); 40 B/row leaves too little for the 24 B/row merge buffer,
-  // denying the in-memory regime, while staying above the feasibility
-  // floor.
-  const size_t limit = table.num_rows() * 40;
+  // The sort phase holds the permutation (8 B/row) and the one word array
+  // of the ORDER BY key (8 B/row); 20 B/row leaves too little for the
+  // 8 B/row merge buffer, denying the in-memory regime, while staying
+  // above the feasibility floor.
+  const size_t limit = table.num_rows() * 20;
   RunOutcome limited = RunQuery(table, spec, call, limit);
 
   ExpectColumnsIdentical(limited.column, unlimited.column, "sum");

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "storage/column.h"
@@ -70,6 +73,35 @@ TEST(Column, Compare) {
   EXPECT_LT(s.Compare(0, 1), 0);
   EXPECT_GT(s.Compare(1, 0), 0);
   EXPECT_EQ(s.Compare(0, 2), 0);
+}
+
+// Doubles are totally ordered the way the sort-key words order them:
+// -0.0 == 0.0, every NaN payload is one value, and NaN sorts above +inf.
+TEST(Column, CompareAndHashOrderDoublesTotally) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Column d(DataType::kDouble);
+  d.AppendDouble(std::bit_cast<double>(uint64_t{0x7ff8000000000000}));  // 0
+  d.AppendDouble(std::bit_cast<double>(uint64_t{0xfff8000000000000}));  // 1
+  d.AppendDouble(std::bit_cast<double>(uint64_t{0x7ff0000000000001}));  // 2
+  d.AppendDouble(1.0);                                                  // 3
+  d.AppendDouble(inf);                                                  // 4
+  d.AppendDouble(-inf);                                                 // 5
+  d.AppendDouble(-0.0);                                                 // 6
+  d.AppendDouble(0.0);                                                  // 7
+  EXPECT_GT(d.Compare(0, 3), 0);
+  EXPECT_LT(d.Compare(3, 0), 0);
+  EXPECT_EQ(d.Compare(0, 1), 0);
+  EXPECT_EQ(d.Compare(1, 2), 0);
+  EXPECT_GT(d.Compare(1, 4), 0);
+  EXPECT_LT(d.Compare(4, 2), 0);
+  EXPECT_GT(d.Compare(2, 5), 0);
+  EXPECT_EQ(d.Compare(6, 7), 0);
+  EXPECT_LT(d.Compare(5, 6), 0);
+  // Equal under Compare => equal hash: NaN partition keys share a bucket.
+  EXPECT_EQ(d.Hash(0), d.Hash(1));
+  EXPECT_EQ(d.Hash(0), d.Hash(2));
+  EXPECT_NE(d.Hash(0), d.Hash(4));
+  EXPECT_EQ(d.Hash(6), d.Hash(7));
 }
 
 TEST(Table, ColumnLookup) {

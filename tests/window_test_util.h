@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -66,6 +70,74 @@ inline Table MakeRandomTable(size_t rows, uint64_t seed, int partitions = 3,
   return table;
 }
 
+/// A table of keys at the edges of the sort-key encoding
+/// (window/sort_keys.h), heavy with duplicates.
+///
+/// Columns: 0 d (double: NaNs of four payloads, one negative, +-inf,
+/// +-0.0, NULL), 1 i (int64: INT64_MIN, INT64_MAX, NULL), 2 s (string:
+/// NULL, the empty string), 3 v (int64, no NULLs), 4 w (finite double,
+/// no NULLs), 5 flag (int64 0/1).
+inline Table MakeSpecialKeyTable(size_t rows, uint64_t seed) {
+  static const double kDoubles[] = {
+      std::bit_cast<double>(uint64_t{0x7ff8000000000000}),
+      std::bit_cast<double>(uint64_t{0xfff8000000000000}),
+      std::bit_cast<double>(uint64_t{0x7ff0000000000001}),
+      std::bit_cast<double>(uint64_t{0x7ff800000000abcd}),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      -1.5,
+      2.25,
+      1e300,
+      -1e-300,
+  };
+  static const int64_t kInts[] = {
+      std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::min() + 1,
+      std::numeric_limits<int64_t>::max(),
+      -1,
+      0,
+      3,
+  };
+  static const char* kStrings[] = {"", "a", "ab", "b", "Z"};
+  Pcg32 rng(seed);
+  Column d(DataType::kDouble);
+  Column i64(DataType::kInt64);
+  Column s(DataType::kString);
+  Column v(DataType::kInt64);
+  Column w(DataType::kDouble);
+  Column flag(DataType::kInt64);
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng.Bounded(8) == 0) {
+      d.AppendNull();
+    } else {
+      d.AppendDouble(kDoubles[rng.Bounded(std::size(kDoubles))]);
+    }
+    if (rng.Bounded(8) == 0) {
+      i64.AppendNull();
+    } else {
+      i64.AppendInt64(kInts[rng.Bounded(std::size(kInts))]);
+    }
+    if (rng.Bounded(8) == 0) {
+      s.AppendNull();
+    } else {
+      s.AppendString(kStrings[rng.Bounded(std::size(kStrings))]);
+    }
+    v.AppendInt64(static_cast<int64_t>(rng.Bounded(50)));
+    w.AppendDouble(static_cast<double>(rng.Bounded(400)) / 8.0);
+    flag.AppendInt64(rng.Bounded(4) != 0 ? 1 : 0);
+  }
+  Table table;
+  table.AddColumn("d", std::move(d));
+  table.AddColumn("i", std::move(i64));
+  table.AddColumn("s", std::move(s));
+  table.AddColumn("v", std::move(v));
+  table.AddColumn("w", std::move(w));
+  table.AddColumn("flag", std::move(flag));
+  return table;
+}
+
 inline void ExpectColumnsEqual(const Column& actual, const Column& expected,
                                const std::string& context) {
   ASSERT_EQ(actual.size(), expected.size()) << context;
@@ -79,11 +151,16 @@ inline void ExpectColumnsEqual(const Column& actual, const Column& expected,
         ASSERT_EQ(actual.GetInt64(i), expected.GetInt64(i))
             << context << " row " << i;
         break;
-      case DataType::kDouble:
-        ASSERT_NEAR(actual.GetDouble(i), expected.GetDouble(i),
-                    1e-9 * (1.0 + std::abs(expected.GetDouble(i))))
+      case DataType::kDouble: {
+        // Equal values (infinities included) and NaN against NaN match
+        // exactly; anything else must agree to a relative 1e-9.
+        const double a = actual.GetDouble(i);
+        const double e = expected.GetDouble(i);
+        if (a == e || (std::isnan(a) && std::isnan(e))) break;
+        ASSERT_NEAR(a, e, 1e-9 * (1.0 + std::abs(e)))
             << context << " row " << i;
         break;
+      }
       case DataType::kString:
         ASSERT_EQ(actual.GetString(i), expected.GetString(i))
             << context << " row " << i;

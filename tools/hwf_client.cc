@@ -1,6 +1,6 @@
 // hwf_client — command-line client for the hwf_serve line protocol.
 //
-//   hwf_client --port 4140 "select sum(price) over (order by day rows \
+//   hwf_client --port 4140 "select sum(price) over (order by day rows
 //       between 6 preceding and current row) from trades"
 //
 //   hwf_client --port 4140 --format json --timeout 5 "select ..."

@@ -9,8 +9,8 @@
 //     distributes shards to it over the wire with REGISTER.
 //
 //   coordinator:
-//     hwf_serve --coordinator --worker 127.0.0.1:4141 --worker \
-//         127.0.0.1:4142 --table trades=trades.csv --shard_key trades=grp
+//     hwf_serve --coordinator --worker 127.0.0.1:4141 --worker 127.0.0.1:4142
+//         --table trades=trades.csv --shard_key trades=grp
 //     Hash-shards each --table by its --shard_key columns across the
 //     worker fleet at startup, then scatters eligible queries to all
 //     shards and gathers the results back into the original row order
