@@ -17,6 +17,7 @@ namespace {
 
 using internal_baselines::SlideFrames;
 using internal_window::GatherArgumentCodes;
+using internal_window::SqlDoubleLess;
 
 /// Wesley & Xu's incremental distinct state [38]: a hash table from value
 /// code to its multiplicity inside the frame. O(1) amortized per frame
@@ -58,12 +59,15 @@ struct SortedValuesState {
 
   void Add(size_t pos) {
     const double v = (*values)[pos];
-    sorted.insert(std::lower_bound(sorted.begin(), sorted.end(), v), v);
+    sorted.insert(
+        std::lower_bound(sorted.begin(), sorted.end(), v, SqlDoubleLess), v);
   }
   void Remove(size_t pos) {
+    // Any value equal to v in SQL order will do (-0.0 for 0.0, one NaN
+    // for another): the multiset of ranks stays the same.
     const double v = (*values)[pos];
-    auto it = std::lower_bound(sorted.begin(), sorted.end(), v);
-    HWF_DCHECK(it != sorted.end() && *it == v);
+    auto it = std::lower_bound(sorted.begin(), sorted.end(), v, SqlDoubleLess);
+    HWF_DCHECK(it != sorted.end() && !SqlDoubleLess(v, *it));
     sorted.erase(it);
   }
 };

@@ -13,12 +13,26 @@ namespace hwf {
 namespace {
 
 using internal_baselines::SlideFrames;
+using internal_window::SqlDoubleLess;
+
+/// (value, position) in SQL order: the value's total order, then the
+/// position, which makes every key unique.
+struct ValuePositionLess {
+  bool operator()(const std::pair<double, size_t>& a,
+                  const std::pair<double, size_t>& b) const {
+    if (SqlDoubleLess(a.first, b.first)) return true;
+    if (SqlDoubleLess(b.first, a.first)) return false;
+    return a.second < b.second;
+  }
+};
+
+using ValueTree = CountedBTree<std::pair<double, size_t>, ValuePositionLess>;
 
 /// Sliding order statistic tree over (value, position) pairs — unique keys
 /// make Erase unambiguous.
 struct TreeState {
   const std::vector<double>* values;
-  CountedBTree<std::pair<double, size_t>> tree;
+  ValueTree tree;
 
   void Add(size_t pos) { tree.Insert({(*values)[pos], pos}); }
   void Remove(size_t pos) {
@@ -52,7 +66,7 @@ Status EvalOrderStatisticTree(const PartitionView& view,
                                   : call.fraction;
       const bool cont = call.kind == WindowFunctionKind::kPercentileCont;
       SlideFrames(
-          view, remap, [&] { return TreeState{&values, CountedBTree<std::pair<double, size_t>>()}; },
+          view, remap, [&] { return TreeState{&values, ValueTree()}; },
           [&](size_t i, const TreeState& state, size_t) {
             const size_t row = view.rows[i];
             const size_t total = state.tree.size();
@@ -98,7 +112,7 @@ Status EvalOrderStatisticTree(const PartitionView& view,
         keys[j] = static_cast<double>(codes[remap.ToOriginal(j)]);
       }
       SlideFrames(
-          view, remap, [&] { return TreeState{&keys, CountedBTree<std::pair<double, size_t>>()}; },
+          view, remap, [&] { return TreeState{&keys, ValueTree()}; },
           [&](size_t i, const TreeState& state, size_t) {
             const size_t smaller = state.tree.CountLess(
                 {static_cast<double>(codes[i]), 0});

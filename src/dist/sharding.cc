@@ -1,7 +1,8 @@
 #include "dist/sharding.h"
 
-#include <cstdio>
 #include <utility>
+
+#include "storage/csv.h"
 
 namespace hwf {
 namespace dist {
@@ -206,7 +207,6 @@ StatusOr<Table> CoerceToTypes(const std::vector<DataType>& types,
         " columns, type list declares " + std::to_string(types.size()));
   }
   Table result;
-  char buffer[64];
   for (size_t c = 0; c < types.size(); ++c) {
     const Column& src = rows.column(c);
     const DataType want = types[c];
@@ -238,15 +238,15 @@ StatusOr<Table> CoerceToTypes(const std::vector<DataType>& types,
         converted.AppendDouble(static_cast<double>(src.GetInt64(row)));
         continue;
       }
-      // Numeric text that lost its quoting: re-render with the formats
-      // ToCsv uses so a shipped value round-trips unchanged.
+      // Numeric text that lost its quoting: re-render with ToCsv's number
+      // renderer so a shipped value round-trips unchanged.
+      std::string text;
       if (src.type() == DataType::kInt64) {
-        std::snprintf(buffer, sizeof buffer, "%lld",
-                      static_cast<long long>(src.GetInt64(row)));
+        AppendInt64Text(src.GetInt64(row), &text);
       } else {
-        std::snprintf(buffer, sizeof buffer, "%.17g", src.GetDouble(row));
+        AppendDoubleText(src.GetDouble(row), &text);
       }
-      converted.AppendString(buffer);
+      converted.AppendString(std::move(text));
     }
     result.AddColumn(rows.column_name(c), std::move(converted));
   }

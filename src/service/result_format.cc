@@ -1,7 +1,6 @@
 #include "service/result_format.h"
 
 #include <cctype>
-#include <cinttypes>
 #include <cstdio>
 
 #include "storage/csv.h"
@@ -48,15 +47,12 @@ void AppendJsonValue(const Column& column, size_t row, std::string* out) {
     *out += "null";
     return;
   }
-  char buf[40];
   switch (column.type()) {
     case DataType::kInt64:
-      std::snprintf(buf, sizeof(buf), "%" PRId64, column.GetInt64(row));
-      *out += buf;
+      AppendInt64Text(column.GetInt64(row), out);
       break;
     case DataType::kDouble:
-      std::snprintf(buf, sizeof(buf), "%.17g", column.GetDouble(row));
-      *out += buf;
+      AppendDoubleText(column.GetDouble(row), out);
       break;
     case DataType::kString:
       AppendJsonString(column.GetString(row), out);

@@ -90,10 +90,14 @@ class Column {
   /// Creates a column of `size` NULL entries to be filled positionally.
   Column(DataType type, size_t size);
 
-  /// Convenience factories from plain vectors (all values valid).
-  static Column FromInt64(std::vector<int64_t> values);
-  static Column FromDouble(std::vector<double> values);
-  static Column FromString(std::vector<std::string> values);
+  /// Factories from plain vectors. `validity` holds one byte per value
+  /// (0 = NULL); left empty, every value is valid.
+  static Column FromInt64(std::vector<int64_t> values,
+                          std::vector<uint8_t> validity = {});
+  static Column FromDouble(std::vector<double> values,
+                           std::vector<uint8_t> validity = {});
+  static Column FromString(std::vector<std::string> values,
+                           std::vector<uint8_t> validity = {});
 
   DataType type() const { return type_; }
   size_t size() const { return validity_.size(); }
@@ -170,6 +174,8 @@ class Column {
   uint64_t Hash(size_t row) const;
 
  private:
+  void SetValidity(size_t size, std::vector<uint8_t> validity);
+
   DataType type_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;

@@ -1,118 +1,38 @@
 #include "storage/csv.h"
 
+#include <sys/stat.h>
+
+#include <bit>
 #include <cerrno>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 namespace hwf {
 
 namespace {
 
-struct Cell {
-  std::string text;
-  bool quoted = false;  // Quoted empty fields are empty strings, not NULL.
+/// One tokenized field. Most fields are views into the input; a quoted
+/// field whose text differs from its bytes (a doubled quote, or text after
+/// the closing quote) is unescaped into the reader's arena instead.
+struct Field {
+  enum Kind : uint8_t {
+    kNull,   // An empty unquoted field.
+    kInput,  // Text at input offset `begin`, `size` bytes.
+    kArena,  // Text is arena[begin].
+  };
+  size_t begin = 0;
+  uint32_t size = 0;
+  Kind kind = kNull;
 };
 
-/// Incremental CSV tokenizer: feed it the input in arbitrary chunks, then
-/// call Finish() once for the tokenized records. Handles quoted fields with
-/// doubled-quote escapes and embedded delimiters/newlines; all state —
-/// including the lookahead for a doubled quote — survives chunk boundaries,
-/// so file readers never need to materialize the whole input in memory.
-class CsvTokenizer {
- public:
-  explicit CsvTokenizer(char delimiter) : delimiter_(delimiter) {}
-
-  void Feed(const char* data, size_t size) {
-    for (size_t i = 0; i < size; ++i) Process(data[i]);
-  }
-
-  StatusOr<std::vector<std::vector<Cell>>> Finish() {
-    // A pending quote at end of input is the field's closing quote.
-    if (quote_pending_) {
-      quote_pending_ = false;
-      in_quotes_ = false;
-    }
-    if (in_quotes_) {
-      return Status::InvalidArgument("CSV ends inside a quoted field");
-    }
-    if (cell_started_ || !record_.empty()) {
-      if (!cell_.text.empty() && cell_.text.back() == '\r') {
-        cell_.text.pop_back();
-      }
-      EndRecord();
-    }
-    return std::move(records_);
-  }
-
- private:
-  void Process(char c) {
-    if (quote_pending_) {
-      // The previous character was a quote inside a quoted field: a second
-      // quote is an escaped literal quote, anything else closed the field.
-      quote_pending_ = false;
-      if (c == '"') {
-        cell_.text.push_back('"');
-        return;
-      }
-      in_quotes_ = false;
-      // Fall through: c is re-examined in unquoted context.
-    } else if (in_quotes_) {
-      if (c == '"') {
-        quote_pending_ = true;
-      } else {
-        cell_.text.push_back(c);
-      }
-      return;
-    }
-    if (c == '"' && !cell_started_) {
-      in_quotes_ = true;
-      cell_.quoted = true;
-      cell_started_ = true;
-    } else if (c == delimiter_) {
-      EndCell();
-    } else if (c == '\n') {
-      // Swallow a preceding \r (CRLF).
-      if (!cell_.text.empty() && cell_.text.back() == '\r') {
-        cell_.text.pop_back();
-      }
-      if (record_.empty() && !cell_started_ && cell_.text.empty()) {
-        // Blank line: kept as a zero-cell marker so BuildTable can decide.
-        // In a one-column table an empty line IS a record (one NULL
-        // field) — dropping it here would lose rows over the wire.
-        records_.emplace_back();
-        return;
-      }
-      EndRecord();
-    } else {
-      cell_.text.push_back(c);
-      cell_started_ = true;
-    }
-  }
-
-  void EndCell() {
-    record_.push_back(std::move(cell_));
-    cell_ = Cell();
-    cell_started_ = false;
-  }
-
-  void EndRecord() {
-    EndCell();
-    records_.push_back(std::move(record_));
-    record_.clear();
-  }
-
-  const char delimiter_;
-  std::vector<std::vector<Cell>> records_;
-  std::vector<Cell> record_;
-  Cell cell_;
-  bool in_quotes_ = false;
-  bool cell_started_ = false;
-  bool quote_pending_ = false;
-};
-
-bool ParseInt(const std::string& text, int64_t* value) {
+/// strtoll / strtod acceptance: the whole text, base 10, no ERANGE.
+bool StrtollAccepts(const std::string& text, int64_t* value) {
   if (text.empty()) return false;
   errno = 0;
   char* end = nullptr;
@@ -122,7 +42,7 @@ bool ParseInt(const std::string& text, int64_t* value) {
   return true;
 }
 
-bool ParseDouble(const std::string& text, double* value) {
+bool StrtodAccepts(const std::string& text, double* value) {
   if (text.empty()) return false;
   errno = 0;
   char* end = nullptr;
@@ -132,108 +52,307 @@ bool ParseDouble(const std::string& text, double* value) {
   return true;
 }
 
-bool NeedsQuoting(const std::string& text, char delimiter) {
-  return text.find_first_of(std::string("\"\n\r") + delimiter) !=
-         std::string::npos;
+/// from_chars accepts a subset of what strtoll takes (no leading space or
+/// '+'), with the same values and range; anything it rejects is decided by
+/// strtoll itself.
+bool ParseInt(std::string_view text, int64_t* value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+  if (ec == std::errc() && ptr == end) return true;
+  return StrtollAccepts(std::string(text), value);
 }
 
-/// Type inference + column materialization over tokenized records.
-StatusOr<Table> BuildTable(std::vector<std::vector<Cell>> records) {
-  // Zero-cell records are blank lines. Leading ones (before the header)
-  // are noise; between data records their meaning depends on the width:
-  // a one-column table serializes a NULL row as an empty line, so there
-  // the blank is a real record, while in a wider table no row can
-  // serialize that way and the blank stays skipped for leniency with
-  // hand-authored files.
-  size_t first = 0;
-  while (first < records.size() && records[first].empty()) ++first;
-  if (first == records.size()) {
-    return Status::InvalidArgument("CSV has no header record");
+/// from_chars and strtod round alike, but strtod also takes leading space,
+/// '+' and hex, keeps NaN payloads, and flags ERANGE on any result below
+/// DBL_MIN in magnitude, even one that rounds up to it. So only a result
+/// that is zero or above DBL_MIN (never a NaN) is taken from from_chars.
+bool ParseDouble(std::string_view text, double* value) {
+  const char* end = text.data() + text.size();
+  double parsed;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec == std::errc() && ptr == end &&
+      (parsed == 0 || std::fabs(parsed) > DBL_MIN)) {
+    *value = parsed;
+    return true;
   }
-  const std::vector<Cell> header = std::move(records[first]);
-  const size_t num_columns = header.size();
-  std::vector<std::vector<Cell>> rows;
-  rows.reserve(records.size() - first - 1);
-  for (size_t r = first + 1; r < records.size(); ++r) {
-    if (records[r].empty()) {
-      if (num_columns == 1) rows.push_back({Cell()});
-      continue;
+  return StrtodAccepts(std::string(text), value);
+}
+
+/// The two-pass reader. Pass 1 (Tokenize) splits the input into one field
+/// vector per column, checking each record's width; pass 2 (BuildColumn)
+/// infers each column's type and converts its fields straight into the
+/// typed vector.
+class CsvReader {
+ public:
+  CsvReader(std::string_view input, char delimiter)
+      : data_(input.data()), size_(input.size()), delimiter_(delimiter) {}
+
+  StatusOr<Table> Read() {
+    Status status = Tokenize();
+    if (!status.ok()) return status;
+    Table table;
+    for (size_t c = 0; c < names_.size(); ++c) {
+      Column column = BuildColumn(columns_[c]);
+      columns_[c] = {};
+      table.AddColumn(std::move(names_[c]), std::move(column));
     }
-    rows.push_back(std::move(records[r]));
-  }
-  records.clear();
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].size() != num_columns) {
-      return Status::InvalidArgument(
-          "CSV record " + std::to_string(r + 2) + " has " +
-          std::to_string(rows[r].size()) + " fields, expected " +
-          std::to_string(num_columns));
-    }
+    return table;
   }
 
-  const size_t num_rows = rows.size();
-  Table table;
-  for (size_t c = 0; c < num_columns; ++c) {
-    // Type inference over all non-NULL cells of the column.
-    bool all_int = true;
-    bool all_double = true;
-    bool any_value = false;
-    for (size_t r = 0; r < num_rows; ++r) {
-      const Cell& cell = rows[r][c];
-      if (cell.text.empty() && !cell.quoted) continue;  // NULL
-      any_value = true;
-      int64_t i;
-      double d;
-      if (!ParseInt(cell.text, &i)) all_int = false;
-      if (!ParseDouble(cell.text, &d)) all_double = false;
-      if (!all_double) break;
+ private:
+  Status Tokenize() {
+    // Blank lines before the header are noise.
+    while (AtBlankLine()) ++pos_;
+    if (pos_ == size_) {
+      return Status::InvalidArgument("CSV has no header record");
     }
-    DataType type = DataType::kString;
-    if (any_value && all_int) {
-      type = DataType::kInt64;
-    } else if (any_value && all_double) {
-      type = DataType::kDouble;
-    }
+    std::vector<Field> header;
+    do {
+      Field field;
+      Status status = ReadField(&field);
+      if (!status.ok()) return status;
+      header.push_back(field);
+    } while (NextField());
+    for (const Field& field : header) names_.emplace_back(Text(field));
+    const size_t num_columns = header.size();
+    columns_.resize(num_columns);
 
-    Column column(type);
-    column.Reserve(num_rows);
-    for (size_t r = 0; r < num_rows; ++r) {
-      const Cell& cell = rows[r][c];
-      if (cell.text.empty() && !cell.quoted) {
-        column.AppendNull();
+    size_t num_rows = 0;
+    while (pos_ < size_) {
+      // A blank line: a one-column table serializes a NULL row that way,
+      // so there it is a record; no wider row renders as one, so there it
+      // stays skipped for leniency with hand-authored files.
+      if (AtBlankLine()) {
+        ++pos_;
+        if (num_columns == 1) {
+          columns_[0].push_back(Field{});
+          ++num_rows;
+        }
         continue;
       }
-      switch (type) {
-        case DataType::kInt64: {
-          int64_t value = 0;
-          ParseInt(cell.text, &value);
-          column.AppendInt64(value);
-          break;
+      size_t width = 0;
+      do {
+        Field field;
+        Status status = ReadField(&field);
+        if (!status.ok()) return status;
+        if (width < num_columns) columns_[width].push_back(field);
+        ++width;
+      } while (NextField());
+      if (width != num_columns) {
+        return Status::InvalidArgument(
+            "CSV record " + std::to_string(num_rows + 2) + " has " +
+            std::to_string(width) + " fields, expected " +
+            std::to_string(num_columns));
+      }
+      ++num_rows;
+    }
+    return Status::OK();
+  }
+
+  bool AtBlankLine() const {
+    return pos_ < size_ && data_[pos_] == '\n' && delimiter_ != '\n';
+  }
+
+  /// After a field: consumes its terminator and reports whether another
+  /// field of the same record follows.
+  bool NextField() {
+    if (pos_ == size_) return false;
+    const bool delimiter = data_[pos_] == delimiter_;
+    ++pos_;
+    return delimiter;
+  }
+
+  bool AtRecordEnd() const {
+    return pos_ == size_ || data_[pos_] != delimiter_;
+  }
+
+  /// First position at or after `i` holding the delimiter or '\n', or the
+  /// end of input. Eight bytes per step: a byte matches when it XORs to 0.
+  size_t FindFieldEnd(size_t i) const {
+    if constexpr (std::endian::native == std::endian::little) {
+      constexpr uint64_t kOnes = 0x0101010101010101ULL;
+      constexpr uint64_t kHighs = 0x8080808080808080ULL;
+      const uint64_t delimiters = kOnes * static_cast<uint8_t>(delimiter_);
+      const uint64_t newlines = kOnes * static_cast<uint8_t>('\n');
+      while (i + 8 <= size_) {
+        uint64_t word;
+        std::memcpy(&word, data_ + i, 8);
+        const uint64_t a = word ^ delimiters;
+        const uint64_t b = word ^ newlines;
+        // The lowest flagged byte is exact; flags above it may be spurious.
+        const uint64_t hits = ((a - kOnes) & ~a) | ((b - kOnes) & ~b);
+        if ((hits & kHighs) != 0) {
+          return i + (std::countr_zero(hits & kHighs) >> 3);
         }
-        case DataType::kDouble: {
-          double value = 0;
-          ParseDouble(cell.text, &value);
-          column.AppendDouble(value);
-          break;
-        }
-        case DataType::kString:
-          column.AppendString(cell.text);
-          break;
+        i += 8;
       }
     }
-    table.AddColumn(header[c].text, std::move(column));
+    while (i < size_ && data_[i] != delimiter_ && data_[i] != '\n') ++i;
+    return i;
   }
-  return table;
+
+  /// Reads the field at pos_ and leaves pos_ on its terminator.
+  Status ReadField(Field* field) {
+    // A quote opens a quoted field only as the field's first byte.
+    if (pos_ < size_ && data_[pos_] == '"') return ReadQuotedField(field);
+    const size_t begin = pos_;
+    pos_ = FindFieldEnd(pos_);
+    size_t end = pos_;
+    if (AtRecordEnd() && end > begin && data_[end - 1] == '\r') --end;
+    if (end > begin) SetText(begin, end - begin, field);
+    return Status::OK();
+  }
+
+  Status ReadQuotedField(Field* field) {
+    const size_t open = pos_;
+    size_t close = open + 1;
+    bool escaped = false;
+    for (;;) {
+      const void* quote = std::memchr(data_ + close, '"', size_ - close);
+      if (quote == nullptr) {
+        return Status::InvalidArgument("CSV ends inside a quoted field");
+      }
+      close = static_cast<size_t>(static_cast<const char*>(quote) - data_);
+      if (close + 1 == size_ || data_[close + 1] != '"') break;
+      escaped = true;  // A doubled quote: one literal quote.
+      close += 2;
+    }
+    // Text after the closing quote up to the terminator is appended
+    // verbatim (quotes included).
+    const size_t tail = close + 1;
+    pos_ = FindFieldEnd(tail);
+    const bool strip_cr = AtRecordEnd();
+    if (!escaped && tail == pos_) {
+      size_t size = close - (open + 1);
+      if (strip_cr && size > 0 && data_[close - 1] == '\r') --size;
+      SetText(open + 1, size, field);  // Never NULL: "" is a string.
+      return Status::OK();
+    }
+    std::string text;
+    text.reserve(close - open - 1 + (pos_ - tail));
+    for (size_t i = open + 1; i < close; ++i) {
+      text.push_back(data_[i]);
+      if (data_[i] == '"') ++i;  // The second quote of a doubled pair.
+    }
+    text.append(data_ + tail, pos_ - tail);
+    if (strip_cr && !text.empty() && text.back() == '\r') text.pop_back();
+    SetArena(std::move(text), field);
+    return Status::OK();
+  }
+
+  void SetText(size_t begin, size_t size, Field* field) {
+    if (size > UINT32_MAX) {
+      SetArena(std::string(data_ + begin, size), field);
+      return;
+    }
+    field->kind = Field::kInput;
+    field->begin = begin;
+    field->size = static_cast<uint32_t>(size);
+  }
+
+  void SetArena(std::string text, Field* field) {
+    field->kind = Field::kArena;
+    field->begin = arena_.size();
+    arena_.push_back(std::move(text));
+  }
+
+  std::string_view Text(const Field& field) const {
+    switch (field.kind) {
+      case Field::kNull:
+        return {};
+      case Field::kInput:
+        return {data_ + field.begin, field.size};
+      case Field::kArena:
+        return arena_[field.begin];
+    }
+    return {};
+  }
+
+  /// Pass 2: the first of int64, double, string that accepts every
+  /// non-NULL field; a column of NULLs only is a string column.
+  Column BuildColumn(const std::vector<Field>& fields) const {
+    const size_t n = fields.size();
+    std::vector<uint8_t> validity(n);
+    bool any_value = false;
+    for (size_t r = 0; r < n; ++r) {
+      validity[r] = fields[r].kind != Field::kNull;
+      any_value |= validity[r] != 0;
+    }
+    if (any_value) {
+      std::vector<int64_t> ints(n);
+      size_t r = 0;
+      while (r < n && (!validity[r] || ParseInt(Text(fields[r]), &ints[r]))) {
+        ++r;
+      }
+      if (r == n) return Column::FromInt64(std::move(ints), std::move(validity));
+    }
+    if (any_value) {
+      std::vector<double> doubles(n);
+      size_t r = 0;
+      while (r < n &&
+             (!validity[r] || ParseDouble(Text(fields[r]), &doubles[r]))) {
+        ++r;
+      }
+      if (r == n) {
+        return Column::FromDouble(std::move(doubles), std::move(validity));
+      }
+    }
+    std::vector<std::string> strings(n);
+    for (size_t r = 0; r < n; ++r) {
+      if (validity[r]) strings[r] = Text(fields[r]);
+    }
+    return Column::FromString(std::move(strings), std::move(validity));
+  }
+
+  const char* const data_;
+  const size_t size_;
+  const char delimiter_;
+  size_t pos_ = 0;
+  std::vector<std::string> names_;
+  std::vector<std::vector<Field>> columns_;
+  std::vector<std::string> arena_;
+};
+
+bool NeedsQuoting(const std::string& text, char delimiter) {
+  for (const char c : text) {
+    if (c == delimiter || c == '"' || c == '\n' || c == '\r') return true;
+  }
+  return false;
+}
+
+void AppendField(const std::string& text, char delimiter, std::string* out) {
+  if (!NeedsQuoting(text, delimiter)) {
+    *out += text;
+    return;
+  }
+  out->push_back('"');
+  for (const char c : text) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
 }
 
 }  // namespace
 
+void AppendInt64Text(int64_t value, std::string* out) {
+  char buffer[24];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, result.ptr);
+}
+
+void AppendDoubleText(double value, std::string* out) {
+  // printf's "%g" at precision 17 in to_chars terms: general format,
+  // trailing zeros dropped, and glibc's "nan"/"-nan"/"inf"/"-inf".
+  char buffer[32];
+  const std::to_chars_result result = std::to_chars(
+      buffer, buffer + sizeof(buffer), value, std::chars_format::general, 17);
+  out->append(buffer, result.ptr);
+}
+
 StatusOr<Table> ParseCsv(const std::string& content, char delimiter) {
-  CsvTokenizer tokenizer(delimiter);
-  tokenizer.Feed(content.data(), content.size());
-  StatusOr<std::vector<std::vector<Cell>>> records = tokenizer.Finish();
-  if (!records.ok()) return records.status();
-  return BuildTable(*std::move(records));
+  return CsvReader(content, delimiter).Read();
 }
 
 StatusOr<Table> ReadCsvFile(const std::string& path, char delimiter) {
@@ -242,63 +361,60 @@ StatusOr<Table> ReadCsvFile(const std::string& path, char delimiter) {
     return Status::InvalidArgument("cannot open '" + path +
                                    "': " + std::strerror(errno));
   }
-  // Stream the file through the tokenizer chunk by chunk — peak memory is
-  // the tokenized cells, never cells plus a whole-file copy.
-  CsvTokenizer tokenizer(delimiter);
-  char buffer[1 << 16];
-  size_t bytes;
-  while ((bytes = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    tokenizer.Feed(buffer, bytes);
+  // The whole file in one buffer sized from fstat; the loop also covers
+  // files whose size fstat does not know (pipes, /proc).
+  // One byte past the size lets the first read see the end of the file.
+  struct stat info;
+  size_t capacity = size_t{1} << 16;
+  if (fstat(fileno(file), &info) == 0 && info.st_size > 0) {
+    capacity = static_cast<size_t>(info.st_size) + 1;
   }
+  std::string content(capacity, '\0');
+  size_t filled = 0;
+  for (;;) {
+    filled +=
+        std::fread(content.data() + filled, 1, content.size() - filled, file);
+    if (filled < content.size()) break;  // End of file or an error.
+    content.resize(content.size() * 2);
+  }
+  content.resize(filled);
   const bool read_error = std::ferror(file) != 0;
   std::fclose(file);
   if (read_error) {
     return Status::InvalidArgument("error reading '" + path + "'");
   }
-  StatusOr<std::vector<std::vector<Cell>>> records = tokenizer.Finish();
-  if (!records.ok()) return records.status();
-  return BuildTable(*std::move(records));
+  return ParseCsv(content, delimiter);
 }
 
 std::string ToCsv(const Table& table, char delimiter) {
+  constexpr size_t kSampleRows = 64;
   std::string out;
-  auto append_field = [&](const std::string& text) {
-    if (NeedsQuoting(text, delimiter)) {
-      out.push_back('"');
-      for (char c : text) {
-        if (c == '"') out.push_back('"');
-        out.push_back(c);
-      }
-      out.push_back('"');
-    } else {
-      out += text;
-    }
-  };
-
   for (size_t c = 0; c < table.num_columns(); ++c) {
     if (c > 0) out.push_back(delimiter);
-    append_field(table.column_name(c));
+    AppendField(table.column_name(c), delimiter, &out);
   }
   out.push_back('\n');
 
-  char buffer[64];
+  const size_t header_size = out.size();
   for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (r == kSampleRows) {
+      // Room for the rest at the sampled rows' mean width, plus 1/8.
+      const size_t row_width = (out.size() - header_size) / kSampleRows;
+      out.reserve(out.size() + (table.num_rows() - r) * row_width * 9 / 8);
+    }
     for (size_t c = 0; c < table.num_columns(); ++c) {
       if (c > 0) out.push_back(delimiter);
       const Column& column = table.column(c);
       if (column.IsNull(r)) continue;  // NULL = empty field.
       switch (column.type()) {
         case DataType::kInt64:
-          std::snprintf(buffer, sizeof(buffer), "%lld",
-                        static_cast<long long>(column.GetInt64(r)));
-          out += buffer;
+          AppendInt64Text(column.GetInt64(r), &out);
           break;
         case DataType::kDouble:
-          std::snprintf(buffer, sizeof(buffer), "%.17g", column.GetDouble(r));
-          out += buffer;
+          AppendDoubleText(column.GetDouble(r), &out);
           break;
         case DataType::kString:
-          append_field(column.GetString(r));
+          AppendField(column.GetString(r), delimiter, &out);
           break;
       }
     }

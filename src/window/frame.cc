@@ -26,6 +26,16 @@ FrameResolver::FrameResolver(Inputs inputs) : in_(std::move(inputs)) {
     HWF_CHECK_MSG(in_.group_index.size() == in_.n,
                   "group indexes required for GROUPS mode");
   }
+  // NaN keys sort above every number: last in ASC, first in DESC.
+  number_begin_ = in_.nonnull_begin;
+  number_end_ = in_.nonnull_end;
+  if (in_.range_keys.empty()) return;
+  const double* keys = in_.range_keys.data();
+  const double* split = std::partition_point(
+      keys + number_begin_, keys + number_end_,
+      [&](double key) { return std::isnan(key) != in_.ascending; });
+  (in_.ascending ? number_end_ : number_begin_) =
+      static_cast<size_t>(split - keys);
 }
 
 int64_t FrameResolver::BeginOffset(size_t i) const {
@@ -58,8 +68,8 @@ double FrameResolver::EndOffsetNumeric(size_t i) const {
 
 size_t FrameResolver::LowerBoundKey(double bound) const {
   const double* keys = in_.range_keys.data();
-  const double* first = keys + in_.nonnull_begin;
-  const double* last = keys + in_.nonnull_end;
+  const double* first = keys + number_begin_;
+  const double* last = keys + number_end_;
   if (in_.ascending) {
     return static_cast<size_t>(std::lower_bound(first, last, bound) - keys);
   }
@@ -72,8 +82,8 @@ size_t FrameResolver::LowerBoundKey(double bound) const {
 
 size_t FrameResolver::UpperBoundKey(double bound) const {
   const double* keys = in_.range_keys.data();
-  const double* first = keys + in_.nonnull_begin;
-  const double* last = keys + in_.nonnull_end;
+  const double* first = keys + number_begin_;
+  const double* last = keys + number_end_;
   if (in_.ascending) {
     return static_cast<size_t>(std::upper_bound(first, last, bound) - keys);
   }
@@ -129,11 +139,22 @@ RowRange FrameResolver::ResolveBase(size_t i) const {
       break;
     }
     case FrameMode::kRange: {
-      const bool is_null = !in_.range_key_valid.empty() &&
-                           in_.range_key_valid[i] == 0;
       const double key = in_.range_keys.empty() ? 0.0 : in_.range_keys[i];
       // SQL semantics: a row with a NULL key is a peer of every other NULL
-      // row; offset bounds select exactly the peer group.
+      // row; offset bounds select exactly the peer group. NaN keys follow
+      // PostgreSQL (in_range_float8_float8): NaN plus or minus any offset
+      // is NaN, so a NaN row's offset bounds select its peer group too,
+      // and a number's bounds never reach the NaN rows.
+      const bool peer_bounds =
+          (!in_.range_key_valid.empty() && in_.range_key_valid[i] == 0) ||
+          std::isnan(key);
+      // The key an offset bound stands for: PRECEDING lies below the key
+      // in ASC order and above it in DESC.
+      auto bound_key = [&](FrameBoundKind kind, double offset) {
+        return (kind == FrameBoundKind::kPreceding) == in_.ascending
+                   ? key - offset
+                   : key + offset;
+      };
       switch (frame.begin.kind) {
         case FrameBoundKind::kUnboundedPreceding:
           begin = 0;
@@ -142,16 +163,11 @@ RowRange FrameResolver::ResolveBase(size_t i) const {
           begin = static_cast<int64_t>(in_.peer_start[i]);
           break;
         case FrameBoundKind::kPreceding:
-          begin = is_null ? static_cast<int64_t>(in_.peer_start[i])
-                          : static_cast<int64_t>(LowerBoundKey(
-                                in_.ascending ? key - BeginOffsetNumeric(i)
-                                              : key + BeginOffsetNumeric(i)));
-          break;
         case FrameBoundKind::kFollowing:
-          begin = is_null ? static_cast<int64_t>(in_.peer_start[i])
-                          : static_cast<int64_t>(LowerBoundKey(
-                                in_.ascending ? key + BeginOffsetNumeric(i)
-                                              : key - BeginOffsetNumeric(i)));
+          begin = static_cast<int64_t>(
+              peer_bounds ? in_.peer_start[i]
+                          : LowerBoundKey(bound_key(frame.begin.kind,
+                                                    BeginOffsetNumeric(i))));
           break;
         case FrameBoundKind::kUnboundedFollowing:
           HWF_CHECK_MSG(false, "frame start cannot be UNBOUNDED FOLLOWING");
@@ -164,16 +180,11 @@ RowRange FrameResolver::ResolveBase(size_t i) const {
           end = static_cast<int64_t>(in_.peer_end[i]);
           break;
         case FrameBoundKind::kPreceding:
-          end = is_null ? static_cast<int64_t>(in_.peer_end[i])
-                        : static_cast<int64_t>(UpperBoundKey(
-                              in_.ascending ? key - EndOffsetNumeric(i)
-                                            : key + EndOffsetNumeric(i)));
-          break;
         case FrameBoundKind::kFollowing:
-          end = is_null ? static_cast<int64_t>(in_.peer_end[i])
-                        : static_cast<int64_t>(UpperBoundKey(
-                              in_.ascending ? key + EndOffsetNumeric(i)
-                                            : key - EndOffsetNumeric(i)));
+          end = static_cast<int64_t>(
+              peer_bounds ? in_.peer_end[i]
+                          : UpperBoundKey(bound_key(frame.end.kind,
+                                                    EndOffsetNumeric(i))));
           break;
         case FrameBoundKind::kUnboundedFollowing:
           end = n;

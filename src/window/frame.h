@@ -112,14 +112,18 @@ class FrameResolver {
   double BeginOffsetNumeric(size_t i) const;
   double EndOffsetNumeric(size_t i) const;
 
-  /// First non-null position whose key is >= bound (ascending) or
-  /// <= bound (descending).
+  /// First non-NULL, non-NaN position whose key is >= bound (ascending)
+  /// or <= bound (descending).
   size_t LowerBoundKey(double bound) const;
-  /// One past the last non-null position whose key is <= bound (ascending)
-  /// or >= bound (descending).
+  /// One past the last non-NULL, non-NaN position whose key is <= bound
+  /// (ascending) or >= bound (descending).
   size_t UpperBoundKey(double bound) const;
 
   Inputs in_;
+  /// The non-NULL keys that are numbers, [number_begin_, number_end_): the
+  /// RANGE offset searches' domain, sorted under plain `<`.
+  size_t number_begin_ = 0;
+  size_t number_end_ = 0;
 };
 
 }  // namespace hwf

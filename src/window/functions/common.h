@@ -1,6 +1,7 @@
 #ifndef HWF_WINDOW_FUNCTIONS_COMMON_H_
 #define HWF_WINDOW_FUNCTIONS_COMMON_H_
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -16,6 +17,13 @@
 
 namespace hwf {
 namespace internal_window {
+
+/// The SQL order of doubles, as Column::Compare defines it: -0.0 equals
+/// 0.0, NaNs equal each other and sort above +inf. Every evaluator that
+/// orders argument values compares them with this, never with raw `<`.
+inline bool SqlDoubleLess(double a, double b) {
+  return a < b || (std::isnan(b) && !std::isnan(a));
+}
 
 /// Runs `fn` with a uint32_t or uint64_t tag depending on the partition
 /// size, implementing the per-partition index-width decision of §5.1.

@@ -13,11 +13,7 @@
 namespace hwf {
 namespace {
 
-/// The SQL order of doubles, as Column::Compare defines it: NaNs equal each
-/// other and sort above +inf.
-bool SqlDoubleLess(double a, double b) {
-  return a < b || (std::isnan(b) && !std::isnan(a));
-}
+using internal_window::SqlDoubleLess;
 
 /// The "naive" engine: every frame is re-evaluated from scratch (Wesley &
 /// Xu's naive algorithm, §5.5). O(frame size) — or O(s log s) for

@@ -191,5 +191,41 @@ TEST(AllEngines, AgreeOnFramedMedian) {
   }
 }
 
+// Percentile arguments holding NaN (several payloads), +-inf and -0.0:
+// the engines' order-maintained values must follow the SQL order of
+// doubles the naive engine sorts by (NaN above +inf, -0.0 equal to 0.0).
+TEST(BaselineEngines, PercentilesOverSpecialDoublesMatchNaive) {
+  constexpr size_t kSpecialD = 0;  // test::MakeSpecialKeyTable columns.
+  constexpr size_t kSpecialV = 3;
+  const Table table = test::MakeSpecialKeyTable(300, 4711);
+  for (const WindowEngine engine :
+       {WindowEngine::kOrderStatisticTree, WindowEngine::kIncremental}) {
+    for (const auto& [preceding, following] :
+         {std::pair<int64_t, int64_t>{5, 0}, {3, 3}, {12, 2}}) {
+      WindowSpec spec;
+      spec.order_by = {SortKey{kSpecialV, true, false}};
+      spec.frame.begin = FrameBound::Preceding(preceding);
+      spec.frame.end = FrameBound::Following(following);
+      for (const auto kind :
+           {WindowFunctionKind::kMedian, WindowFunctionKind::kPercentileCont,
+            WindowFunctionKind::kPercentileDisc}) {
+        for (const double fraction : {0.1, 0.5, 0.9}) {
+          WindowFunctionCall call;
+          call.kind = kind;
+          call.argument = kSpecialD;
+          call.fraction = fraction;
+          ExpectEngineMatchesNaive(
+              table, spec, call, engine,
+              std::string(WindowFunctionKindName(kind)) + " engine " +
+                  std::to_string(static_cast<int>(engine)) + " rows " +
+                  std::to_string(preceding) + "/" + std::to_string(following) +
+                  " fraction " + std::to_string(fraction));
+          if (kind == WindowFunctionKind::kMedian) break;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hwf

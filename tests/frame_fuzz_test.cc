@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -409,6 +411,263 @@ TEST(FrameFuzz, RankFamilyMatchesNaiveOverFuzzedFrames) {
             " excl=" +
             std::to_string(static_cast<int>(spec.frame.exclusion)) +
             " filter=" + std::to_string(call.filter.has_value()));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// RANGE offset frames over special double keys (NaN, +-inf, -0.0, NULL),
+// checked against a brute-force scan built on PostgreSQL's
+// in_range_float8_float8 rather than on the resolver's binary searches.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// in_range_float8_float8: whether `val` is on the frame side of the bound
+/// `base` - `offset` (sub) or `base` + `offset`; less: val <= bound, else
+/// val >= bound. NaN equals NaN and sorts above every number.
+bool InRange(double val, double base, double offset, bool sub, bool less) {
+  if (std::isnan(val)) return std::isnan(base) || !less;
+  if (std::isnan(base)) return less;
+  // +inf infinitely precedes +inf and -inf infinitely follows -inf.
+  if (std::isinf(offset) && std::isinf(base) && (sub ? base > 0 : base < 0)) {
+    return true;
+  }
+  const double bound = sub ? base - offset : base + offset;
+  return less ? val <= bound : val >= bound;
+}
+
+/// SQL's total order of doubles: NaN above +inf, -0.0 equal to 0.0.
+bool SqlLess(double a, double b) {
+  return a < b || (std::isnan(b) && !std::isnan(a));
+}
+
+struct RangeCase {
+  std::vector<double> keys;  // Partition order; NULL slots hold 0.
+  std::vector<uint8_t> valid;
+  bool ascending = true;
+  FrameSpec frame;
+  std::vector<double> begin_offsets;  // Per row; used if non-empty.
+  std::vector<double> end_offsets;
+
+  size_t n() const { return keys.size(); }
+  bool Peers(size_t a, size_t b) const {
+    if (!valid[a] || !valid[b]) return !valid[a] && !valid[b];
+    return !SqlLess(keys[a], keys[b]) && !SqlLess(keys[b], keys[a]);
+  }
+  size_t PeerStart(size_t i) const {
+    while (i > 0 && Peers(i - 1, i)) --i;
+    return i;
+  }
+  size_t PeerEnd(size_t i) const {
+    while (i + 1 < n() && Peers(i, i + 1)) ++i;
+    return i + 1;
+  }
+  size_t NonNullBegin() const {
+    size_t i = 0;
+    while (i < n() && !valid[i]) ++i;
+    return i;
+  }
+  size_t NonNullEnd() const {
+    size_t i = n();
+    while (i > 0 && !valid[i - 1]) --i;
+    return i;
+  }
+  double Offset(const FrameBound& bound, const std::vector<double>& offsets,
+                size_t i) const {
+    return offsets.empty() ? static_cast<double>(bound.offset) : offsets[i];
+  }
+
+  /// The base frame of row i by scanning every position.
+  RowRange Expected(size_t i) const {
+    const size_t lo = NonNullBegin();
+    const size_t hi = NonNullEnd();
+    RowRange range{0, n()};
+    auto offset_bound = [&](const FrameBound& bound,
+                            const std::vector<double>& offsets, bool is_end) {
+      // A NULL row's offset bounds select its peer group.
+      if (!valid[i]) return is_end ? PeerEnd(i) : PeerStart(i);
+      const bool sub =
+          (bound.kind == FrameBoundKind::kPreceding) == ascending;
+      // The frame head is the first row past the bound, the tail the last
+      // row before it.
+      const bool less = is_end == ascending;
+      const double offset = Offset(bound, offsets, i);
+      if (!is_end) {
+        for (size_t j = lo; j < hi; ++j) {
+          if (InRange(keys[j], keys[i], offset, sub, less)) return j;
+        }
+        return hi;
+      }
+      for (size_t j = hi; j > lo; --j) {
+        if (InRange(keys[j - 1], keys[i], offset, sub, less)) return j;
+      }
+      return lo;
+    };
+    switch (frame.begin.kind) {
+      case FrameBoundKind::kCurrentRow:
+        range.begin = PeerStart(i);
+        break;
+      case FrameBoundKind::kPreceding:
+      case FrameBoundKind::kFollowing:
+        range.begin = offset_bound(frame.begin, begin_offsets, false);
+        break;
+      default:
+        break;
+    }
+    switch (frame.end.kind) {
+      case FrameBoundKind::kCurrentRow:
+        range.end = PeerEnd(i);
+        break;
+      case FrameBoundKind::kPreceding:
+      case FrameBoundKind::kFollowing:
+        range.end = offset_bound(frame.end, end_offsets, true);
+        break;
+      default:
+        break;
+    }
+    return range;
+  }
+
+  FrameResolver::Inputs Inputs() const {
+    FrameResolver::Inputs inputs;
+    inputs.n = n();
+    inputs.frame = frame;
+    inputs.range_keys = keys;
+    inputs.range_key_valid = valid;
+    inputs.ascending = ascending;
+    inputs.nonnull_begin = NonNullBegin();
+    inputs.nonnull_end = NonNullEnd();
+    for (size_t i = 0; i < n(); ++i) {
+      inputs.peer_start.push_back(PeerStart(i));
+      inputs.peer_end.push_back(PeerEnd(i));
+    }
+    inputs.begin_offsets_numeric = begin_offsets;
+    inputs.end_offsets_numeric = end_offsets;
+    return inputs;
+  }
+};
+
+FrameBound RandomRangeBound(Pcg32& rng, bool is_begin, bool* per_row) {
+  switch (rng.Bounded(6)) {
+    case 0:
+      return is_begin ? FrameBound::UnboundedPreceding()
+                      : FrameBound::UnboundedFollowing();
+    case 1:
+      return FrameBound::CurrentRow();
+    case 2:
+      return FrameBound::Preceding(rng.Bounded(3));
+    case 3:
+      return FrameBound::Following(rng.Bounded(3));
+    case 4:
+      *per_row = true;
+      return FrameBound::PrecedingColumn(0);
+    default:
+      *per_row = true;
+      return FrameBound::FollowingColumn(0);
+  }
+}
+
+TEST(FrameFuzz, RangeOffsetsOverSpecialKeysMatchBruteForce) {
+  const double kNan = std::nan("");
+  const double kKeys[] = {kNan, -kNan, kInf, -kInf, 0.0, -0.0,
+                          -1.5, 1.0,   2.0,  2.25, 3.0, 1e300};
+  const double kOffsets[] = {0.0, 0.5, 1.0, 2.25, 1e300, kInf};
+  Pcg32 rng(31337);
+  size_t nan_rows = 0;
+  for (int round = 0; round < 3000; ++round) {
+    RangeCase c;
+    const size_t n = 1 + rng.Bounded(30);
+    c.ascending = rng.Bounded(2) == 0;
+    std::vector<double> values;
+    size_t nulls = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Bounded(6) == 0) {
+        ++nulls;
+      } else {
+        values.push_back(kKeys[rng.Bounded(std::size(kKeys))]);
+      }
+    }
+    std::sort(values.begin(), values.end(), SqlLess);
+    if (!c.ascending) std::reverse(values.begin(), values.end());
+    const bool nulls_first = rng.Bounded(2) == 0;
+    c.keys.assign(nulls_first ? nulls : 0, 0.0);
+    c.valid.assign(nulls_first ? nulls : 0, 0);
+    for (const double v : values) {
+      c.keys.push_back(v);
+      c.valid.push_back(1);
+      nan_rows += std::isnan(v) ? 1 : 0;
+    }
+    if (!nulls_first) {
+      c.keys.resize(n, 0.0);
+      c.valid.resize(n, 0);
+    }
+    c.frame.mode = FrameMode::kRange;
+    bool begin_per_row = false;
+    bool end_per_row = false;
+    c.frame.begin = RandomRangeBound(rng, true, &begin_per_row);
+    c.frame.end = RandomRangeBound(rng, false, &end_per_row);
+    for (size_t i = 0; i < n; ++i) {
+      if (begin_per_row) {
+        c.begin_offsets.push_back(kOffsets[rng.Bounded(std::size(kOffsets))]);
+      }
+      if (end_per_row) {
+        c.end_offsets.push_back(kOffsets[rng.Bounded(std::size(kOffsets))]);
+      }
+    }
+
+    const FrameResolver resolver(c.Inputs());
+    for (size_t i = 0; i < n; ++i) {
+      const RowRange expected = c.Expected(i);
+      const RowRange actual = resolver.ResolveBase(i);
+      const std::string where =
+          "round " + std::to_string(round) + " row " + std::to_string(i) +
+          " key " + (c.valid[i] ? std::to_string(c.keys[i]) : "NULL") +
+          " asc=" + std::to_string(c.ascending) +
+          " begin=" + std::to_string(static_cast<int>(c.frame.begin.kind)) +
+          " end=" + std::to_string(static_cast<int>(c.frame.end.kind));
+      ASSERT_EQ(actual.empty(), expected.empty()) << where;
+      if (expected.empty()) continue;
+      ASSERT_EQ(actual.begin, expected.begin) << where;
+      ASSERT_EQ(actual.end, expected.end) << where;
+    }
+  }
+  EXPECT_GT(nan_rows, 1000u);
+}
+
+// The reported case, through the executor: 30 numbers and 10 NaNs under
+// RANGE BETWEEN 1 PRECEDING AND 1 FOLLOWING. A number counts the numbers
+// within 1 of it, a NaN row counts the NaN rows.
+TEST(FrameFuzz, RangeOverNanKeysCountsNumbersAndNanPeers) {
+  std::vector<double> x;
+  for (int r = 0; r < 40; ++r) {
+    x.push_back(r % 4 == 3 ? std::nan("") : static_cast<double>(r % 6));
+  }
+  Table table;
+  table.AddColumn("x", Column::FromDouble(x));
+  for (const bool ascending : {true, false}) {
+    WindowSpec spec;
+    spec.order_by = {SortKey{0, ascending, false}};
+    spec.frame.mode = FrameMode::kRange;
+    spec.frame.begin = FrameBound::Preceding(1);
+    spec.frame.end = FrameBound::Following(1);
+    WindowFunctionCall call;
+    call.kind = WindowFunctionKind::kCountStar;
+    for (const WindowEngine engine :
+         {WindowEngine::kMergeSortTree, WindowEngine::kNaive}) {
+      WindowExecutorOptions options;
+      options.engine = engine;
+      const StatusOr<Column> counts =
+          EvaluateWindowFunction(table, spec, call, options);
+      ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+      for (size_t r = 0; r < x.size(); ++r) {
+        int64_t expected = 0;
+        for (const double other : x) {
+          expected += std::isnan(x[r]) ? std::isnan(other)
+                                       : std::abs(other - x[r]) <= 1;
+        }
+        ASSERT_EQ(counts->GetInt64(r), expected)
+            << "row " << r << " x=" << x[r] << " asc=" << ascending;
+      }
+    }
   }
 }
 

@@ -318,14 +318,16 @@ void ExpectRowNumberIsSortIndex(const Table& table, const WindowSpec& spec,
 // Keys at the edges of the sort-key encoding — NaNs of several payloads
 // (one negative), +-inf, +-0.0, INT64_MIN/MAX and NULLs — under every
 // partitioning shape and every ASC/DESC x NULLS FIRST/LAST combination of
-// the frame and function ORDER BY. ROWS and GROUPS frames only: RANGE
-// offsets over a NaN key are out of scope here.
+// the frame and function ORDER BY. Frames are ROWS, GROUPS, or (on a single
+// numeric key) RANGE with offsets, whose NaN semantics frame_fuzz_test
+// checks against a brute-force scan.
 TEST(WindowFuzz, SpecialKeysAgreeWithOracle) {
   const std::vector<std::vector<size_t>> partitionings = {
       {}, {kSpD}, {kSpS}, {kSpD, kSpI}, {kSpS, kSpI}};
   const size_t order_columns[] = {kSpD, kSpI, kSpS};
   Pcg32 rng(20261019);
   size_t checked = 0;
+  size_t range_checked = 0;
   for (size_t p = 0; p < partitionings.size(); ++p) {
     for (size_t column : order_columns) {
       for (size_t combo = 0; combo < 4; ++combo) {
@@ -334,9 +336,13 @@ TEST(WindowFuzz, SpecialKeysAgreeWithOracle) {
         WindowSpec spec;
         spec.partition_by = partitionings[p];
         spec.order_by.push_back(SpecialKey(column, combo));
-        if (rng.Bounded(2)) spec.order_by.push_back(RandomSpecialKey(rng));
-        spec.frame.mode =
-            rng.Bounded(2) ? FrameMode::kRows : FrameMode::kGroups;
+        const bool range = column != kSpS && rng.Bounded(3) == 0;
+        if (!range && rng.Bounded(2)) {
+          spec.order_by.push_back(RandomSpecialKey(rng));
+        }
+        spec.frame.mode = range            ? FrameMode::kRange
+                          : rng.Bounded(2) ? FrameMode::kRows
+                                           : FrameMode::kGroups;
         spec.frame.begin = rng.Bounded(2)
                                ? FrameBound::Preceding(rng.Bounded(6))
                                : FrameBound::UnboundedPreceding();
@@ -353,11 +359,13 @@ TEST(WindowFuzz, SpecialKeysAgreeWithOracle) {
           SCOPED_TRACE(where + ": " + Describe(spec, call));
           ExpectMatchesNaive(table, spec, call, where);
           ++checked;
+          range_checked += range ? 1 : 0;
         }
       }
     }
   }
   EXPECT_GT(checked, 150u);
+  EXPECT_GT(range_checked, 20u);
 }
 
 }  // namespace
