@@ -102,7 +102,7 @@ class CsvReader {
  private:
   Status Tokenize() {
     // Blank lines before the header are noise.
-    while (AtBlankLine()) ++pos_;
+    while (const size_t blank = BlankLineLength()) pos_ += blank;
     if (pos_ == size_) {
       return Status::InvalidArgument("CSV has no header record");
     }
@@ -122,8 +122,8 @@ class CsvReader {
       // A blank line: a one-column table serializes a NULL row that way,
       // so there it is a record; no wider row renders as one, so there it
       // stays skipped for leniency with hand-authored files.
-      if (AtBlankLine()) {
-        ++pos_;
+      if (const size_t blank = BlankLineLength()) {
+        pos_ += blank;
         if (num_columns == 1) {
           columns_[0].push_back(Field{});
           ++num_rows;
@@ -149,8 +149,14 @@ class CsvReader {
     return Status::OK();
   }
 
-  bool AtBlankLine() const {
-    return pos_ < size_ && data_[pos_] == '\n' && delimiter_ != '\n';
+  /// Length of the blank line (LF or CRLF) at pos_, or 0 when there is
+  /// none.
+  size_t BlankLineLength() const {
+    if (pos_ == size_ || delimiter_ == '\n') return 0;
+    if (data_[pos_] == '\n') return 1;
+    const bool crlf = data_[pos_] == '\r' && delimiter_ != '\r' &&
+                      pos_ + 1 < size_ && data_[pos_ + 1] == '\n';
+    return crlf ? 2 : 0;
   }
 
   /// After a field: consumes its terminator and reports whether another
@@ -218,14 +224,17 @@ class CsvReader {
       close += 2;
     }
     // Text after the closing quote up to the terminator is appended
-    // verbatim (quotes included).
+    // verbatim (quotes included), less a CR before a line end. A CR inside
+    // the quotes is data.
     const size_t tail = close + 1;
     pos_ = FindFieldEnd(tail);
-    const bool strip_cr = AtRecordEnd();
-    if (!escaped && tail == pos_) {
-      size_t size = close - (open + 1);
-      if (strip_cr && size > 0 && data_[close - 1] == '\r') --size;
-      SetText(open + 1, size, field);  // Never NULL: "" is a string.
+    size_t tail_end = pos_;
+    if (AtRecordEnd() && tail_end > tail && data_[tail_end - 1] == '\r') {
+      --tail_end;
+    }
+    if (!escaped && tail == tail_end) {
+      // Never NULL: "" is a string.
+      SetText(open + 1, close - (open + 1), field);
       return Status::OK();
     }
     std::string text;
@@ -234,8 +243,7 @@ class CsvReader {
       text.push_back(data_[i]);
       if (data_[i] == '"') ++i;  // The second quote of a doubled pair.
     }
-    text.append(data_ + tail, pos_ - tail);
-    if (strip_cr && !text.empty() && text.back() == '\r') text.pop_back();
+    text.append(data_ + tail, tail_end - tail);
     SetArena(std::move(text), field);
     return Status::OK();
   }

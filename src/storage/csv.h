@@ -19,10 +19,11 @@ namespace hwf {
 /// integer or a number exactly when strtoll / strtod (base 10, "C" locale)
 /// consume all of it without ERANGE.
 ///
-/// Blank lines before the header are skipped; later ones are a NULL row in
-/// a one-column table and skipped otherwise. Text after a closing quote is
-/// part of the field, a quote inside an unquoted field is literal, and one
-/// '\r' before a line end (or the end of input) is dropped.
+/// Blank lines (LF or CRLF) before the header are skipped; later ones are
+/// a NULL row in a one-column table and skipped otherwise. Text after a
+/// closing quote is part of the field, a quote inside an unquoted field is
+/// literal, and one '\r' outside quotes before a line end (or the end of
+/// input) is dropped; a '\r' inside quotes is data.
 StatusOr<Table> ParseCsv(const std::string& content, char delimiter = ',');
 
 /// Reads a whole CSV file and parses it as ParseCsv does.

@@ -109,6 +109,69 @@ PreprocessResult<Index> PreprocessOrder(const PartitionView& view,
                                       view.options->profile);
 }
 
+/// out[dst] = arg[src], NULL included: the result step of every function
+/// that returns the argument of a selected frame row.
+inline void CopyArgumentValue(const Column& arg, size_t src, Column* out,
+                              size_t dst) {
+  if (arg.IsNull(src)) {
+    out->SetNull(dst);
+    return;
+  }
+  switch (out->type()) {
+    case DataType::kInt64:
+      out->SetInt64(dst, arg.GetInt64(src));
+      break;
+    case DataType::kDouble:
+      out->SetDouble(dst, arg.GetDouble(src));
+      break;
+    case DataType::kString:
+      out->SetString(dst, arg.GetString(src));
+      break;
+  }
+}
+
+/// The 0-based function-order rank that FIRST_VALUE / LAST_VALUE /
+/// NTH_VALUE / LEAD / LAG select in a frame of `total` qualifying rows,
+/// `before` of which precede the current row in function order (§4.6: for
+/// a current row outside its frame, that is its insertion position).
+/// Returns `total` when there is no such row and the result is NULL; the
+/// offset is non-negative (validated), and no sum can overflow.
+inline size_t SelectedFrameRank(const WindowFunctionCall& call, size_t total,
+                                size_t before) {
+  const uint64_t param = static_cast<uint64_t>(call.param);
+  switch (call.kind) {
+    case WindowFunctionKind::kFirstValue:
+      return 0;
+    case WindowFunctionKind::kLastValue:
+      return total == 0 ? 0 : total - 1;
+    case WindowFunctionKind::kNthValue:
+      return param - 1 < total ? param - 1 : total;
+    case WindowFunctionKind::kLead:
+      return param < total - before ? before + param : total;
+    case WindowFunctionKind::kLag:
+      return param <= before ? before - param : total;
+    default:
+      HWF_CHECK_MSG(false, "not a value function");
+      return total;
+  }
+}
+
+/// Whether a FIRST/LAST/NTH_VALUE or LEAD/LAG call selects in the frame
+/// order: its effective order is the window's ORDER BY. Partition
+/// positions are already sorted that way, ties by position, so the
+/// function-order rank of a filtered position is the position itself and
+/// FrameOrderSelect answers the call without a selection tree.
+bool SelectsInFrameOrder(const WindowSpec& spec,
+                         const WindowFunctionCall& call);
+
+/// Evaluates a call for which SelectsInFrameOrder holds in O(1) per row:
+/// the frame's filtered ranges give the row count and, clamped at the
+/// current row, how many frame rows precede it; the selected rank is then
+/// walked to through at most three ranges. FILTER, IGNORE NULLS and
+/// EXCLUDE behave exactly as on the tree path.
+Status FrameOrderSelect(const PartitionView& view,
+                        const WindowFunctionCall& call, Column* out);
+
 /// Deterministic tie-break key for MODE: order-preserving encoding for
 /// numeric values (ties resolve to the smallest value), value hash for
 /// strings (deterministic but implementation-defined order). Equal values

@@ -14,7 +14,10 @@ namespace {
 /// within the frame under the function order, (2) offset it, (3) select the
 /// row at the adjusted position, (4) evaluate the argument there.
 ///
-/// Both steps use the same selection tree: the row number is the count of
+/// When the function order is the frame order (no function-level ORDER BY,
+/// or the window's own), the row number is positional and
+/// FrameOrderSelect answers the call without a tree. Otherwise both steps
+/// use the same selection tree: the row number is the count of
 /// tree positions before the current row's function-order rank whose key
 /// (filtered partition position) lies in the frame, and the selection is a
 /// Select on the same tree. When the current row itself is dropped by the
@@ -29,7 +32,6 @@ Status EvalLeadLagT(const PartitionView& view, const WindowFunctionCall& call,
   if (!sel_or.ok()) return sel_or.status();
   const SelectionTree<Index>& sel = **sel_or;
   const Column& arg = view.col(*call.argument);
-  const bool is_lead = call.kind == WindowFunctionKind::kLead;
 
   // Function-order rank of every filtered position: the inverse of the
   // permutation the tree was built over.
@@ -47,24 +49,6 @@ Status EvalLeadLagT(const PartitionView& view, const WindowFunctionCall& call,
       rank_of_filtered[static_cast<size_t>(perm[j])] = j;
     }
   }
-
-  auto emit = [&](size_t row, size_t selected) {
-    if (arg.IsNull(selected)) {
-      out->SetNull(row);
-      return;
-    }
-    switch (out->type()) {
-      case DataType::kInt64:
-        out->SetInt64(row, arg.GetInt64(selected));
-        break;
-      case DataType::kDouble:
-        out->SetDouble(row, arg.GetDouble(selected));
-        break;
-      case DataType::kString:
-        out->SetString(row, arg.GetString(selected));
-        break;
-    }
-  };
 
   ParallelFor(
       0, view.size(),
@@ -139,15 +123,12 @@ Status EvalLeadLagT(const PartitionView& view, const WindowFunctionCall& call,
               before += counts[task.count_begin + 2 * p] -
                         counts[task.count_begin + 2 * p + 1];
             }
-            const int64_t target =
-                is_lead ? static_cast<int64_t>(before) + call.param
-                        : static_cast<int64_t>(before) - call.param;
-            if (target < 0 || target >= static_cast<int64_t>(task.total)) {
+            const size_t target = SelectedFrameRank(call, task.total, before);
+            if (target >= task.total) {
               out->SetNull(task.row);
               continue;
             }
-            selects.push_back({task.range_begin, task.num_ranges,
-                               static_cast<size_t>(target)});
+            selects.push_back({task.range_begin, task.num_ranges, target});
             select_rows.push_back(task.row);
           }
           selected.resize(selects.size());
@@ -159,7 +140,7 @@ Status EvalLeadLagT(const PartitionView& view, const WindowFunctionCall& call,
             if (q + kGatherLookahead < selects.size()) {
               arg.PrefetchRow(selected[q + kGatherLookahead]);
             }
-            emit(select_rows[q], selected[q]);
+            CopyArgumentValue(arg, selected[q], out, select_rows[q]);
           }
         }
       },
@@ -172,6 +153,9 @@ Status EvalLeadLagT(const PartitionView& view, const WindowFunctionCall& call,
 
 Status EvalLeadLag(const PartitionView& view, const WindowFunctionCall& call,
                    Column* out) {
+  if (internal_window::SelectsInFrameOrder(*view.spec, call)) {
+    return internal_window::FrameOrderSelect(view, call, out);
+  }
   return internal_window::DispatchIndexWidth(
       view.size(), view.options->force_index_width, [&](auto tag) {
         using Index = decltype(tag);

@@ -21,7 +21,9 @@ namespace hwf {
 namespace internal_window {
 
 /// Shared machinery for percentiles, value functions and LEAD/LAG (§4.5,
-/// §4.6): a merge sort tree over the permutation array (Fig. 6).
+/// §4.6): a merge sort tree over the permutation array (Fig. 6). Value
+/// functions and LEAD/LAG use it only when their function order differs
+/// from the frame order (see SelectsInFrameOrder).
 ///
 /// Tree positions are the function-order ranks (0 = smallest under the
 /// function's ORDER BY); keys are filtered partition positions. Selecting

@@ -10,10 +10,11 @@ namespace internal_window {
 namespace {
 
 /// Framed value functions (§4.5): FIRST_VALUE / LAST_VALUE / NTH_VALUE
-/// select the i-th frame row under the function-level ORDER BY (falling
-/// back to the frame order, which matches the standard SQL semantics) and
+/// select the i-th frame row under the function-level ORDER BY and
 /// evaluate the argument there. IGNORE NULLS drops rows whose argument is
-/// NULL before selection.
+/// NULL before selection. Without a function-level ORDER BY (or with the
+/// window's own), the standard's frame order applies and FrameOrderSelect
+/// answers the call positionally, without this tree.
 template <typename Index>
 Status EvalValueFunctionT(const PartitionView& view,
                           const WindowFunctionCall& call, Column* out) {
@@ -23,38 +24,6 @@ Status EvalValueFunctionT(const PartitionView& view,
   if (!sel_or.ok()) return sel_or.status();
   const SelectionTree<Index>& sel = **sel_or;
   const Column& arg = view.col(*call.argument);
-
-  auto emit = [&](size_t row, size_t selected) {
-    if (arg.IsNull(selected)) {
-      out->SetNull(row);
-      return;
-    }
-    switch (out->type()) {
-      case DataType::kInt64:
-        out->SetInt64(row, arg.GetInt64(selected));
-        break;
-      case DataType::kDouble:
-        out->SetDouble(row, arg.GetDouble(selected));
-        break;
-      case DataType::kString:
-        out->SetString(row, arg.GetString(selected));
-        break;
-    }
-  };
-  // Frame rank to select for a frame of `total` qualifying rows.
-  auto rank_for = [&](size_t total) -> size_t {
-    switch (call.kind) {
-      case WindowFunctionKind::kFirstValue:
-        return 0;
-      case WindowFunctionKind::kLastValue:
-        return total == 0 ? 0 : total - 1;
-      case WindowFunctionKind::kNthValue:
-        return static_cast<size_t>(call.param - 1);
-      default:
-        HWF_CHECK_MSG(false, "not a value function");
-        return 0;
-    }
-  };
 
   ParallelFor(
       0, view.size(),
@@ -76,8 +45,8 @@ Status EvalValueFunctionT(const PartitionView& view,
             size_t total = 0;
             const size_t num_ranges =
                 sel.MapKeyRanges(view.frames[i], ranges, &total);
-            const size_t idx = rank_for(total);
-            if (total == 0 || idx >= total) {
+            const size_t idx = SelectedFrameRank(call, total, /*before=*/0);
+            if (idx >= total) {
               out->SetNull(row);
               continue;
             }
@@ -97,7 +66,7 @@ Status EvalValueFunctionT(const PartitionView& view,
             if (q + kGatherLookahead < queries.size()) {
               arg.PrefetchRow(selected[q + kGatherLookahead]);
             }
-            emit(rows[q], selected[q]);
+            CopyArgumentValue(arg, selected[q], out, rows[q]);
           }
         }
       },
@@ -110,6 +79,9 @@ Status EvalValueFunctionT(const PartitionView& view,
 
 Status EvalValueFunction(const PartitionView& view,
                          const WindowFunctionCall& call, Column* out) {
+  if (internal_window::SelectsInFrameOrder(*view.spec, call)) {
+    return internal_window::FrameOrderSelect(view, call, out);
+  }
   return internal_window::DispatchIndexWidth(
       view.size(), view.options->force_index_width, [&](auto tag) {
         using Index = decltype(tag);

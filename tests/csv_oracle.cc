@@ -39,9 +39,7 @@ class CsvTokenizer {
       return Status::InvalidArgument("CSV ends inside a quoted field");
     }
     if (cell_started_ || !record_.empty()) {
-      if (!cell_.text.empty() && cell_.text.back() == '\r') {
-        cell_.text.pop_back();
-      }
+      if (unquoted_cr_) cell_.text.pop_back();
       EndRecord();
     }
     return std::move(records_);
@@ -55,6 +53,7 @@ class CsvTokenizer {
       quote_pending_ = false;
       if (c == '"') {
         cell_.text.push_back('"');
+        unquoted_cr_ = false;
         return;
       }
       in_quotes_ = false;
@@ -64,6 +63,7 @@ class CsvTokenizer {
         quote_pending_ = true;
       } else {
         cell_.text.push_back(c);
+        unquoted_cr_ = false;
       }
       return;
     }
@@ -74,21 +74,24 @@ class CsvTokenizer {
     } else if (c == delimiter_) {
       EndCell();
     } else if (c == '\n') {
-      // Swallow a preceding \r (CRLF).
-      if (!cell_.text.empty() && cell_.text.back() == '\r') {
-        cell_.text.pop_back();
-      }
-      if (record_.empty() && !cell_started_ && cell_.text.empty()) {
-        // Blank line: kept as a zero-cell marker so BuildTable can decide.
+      // Swallow a preceding \r (CRLF) unless it was quoted.
+      if (unquoted_cr_) cell_.text.pop_back();
+      if (record_.empty() && !cell_.quoted && cell_.text.empty()) {
+        // Blank line (LF or CRLF): kept as a zero-cell marker so BuildTable
+        // can decide.
         // In a one-column table an empty line IS a record (one NULL
         // field) — dropping it here would lose rows over the wire.
         records_.emplace_back();
+        cell_ = Cell();
+        cell_started_ = false;
+        unquoted_cr_ = false;
         return;
       }
       EndRecord();
     } else {
       cell_.text.push_back(c);
       cell_started_ = true;
+      unquoted_cr_ = c == '\r';
     }
   }
 
@@ -96,6 +99,7 @@ class CsvTokenizer {
     record_.push_back(std::move(cell_));
     cell_ = Cell();
     cell_started_ = false;
+    unquoted_cr_ = false;
   }
 
   void EndRecord() {
@@ -111,6 +115,7 @@ class CsvTokenizer {
   bool in_quotes_ = false;
   bool cell_started_ = false;
   bool quote_pending_ = false;
+  bool unquoted_cr_ = false;  // cell_.text ends in a '\r' read unquoted.
 };
 
 bool ParseInt(const std::string& text, int64_t* value) {

@@ -60,6 +60,33 @@ TEST(Csv, CrlfAndTrailingBlankLines) {
   EXPECT_EQ(table->column(1).GetInt64(1), 4);
 }
 
+TEST(Csv, CrlfBlankLineIsSkipped) {
+  StatusOr<Table> table = ParseCsv("a,b\r\n1,2\r\n\r\n3,4\r\n");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_rows(), 2u);
+  EXPECT_EQ(table->column(0).GetInt64(1), 3);
+  EXPECT_EQ(table->column(1).GetInt64(1), 4);
+}
+
+TEST(Csv, QuotedCarriageReturnRoundTrips) {
+  const std::vector<std::string> texts = {"ends in cr\r", "\r", "cr\r\n",
+                                          "\r\r", "mid\rdle", "plain"};
+  Table table;
+  table.AddColumn("first", Column::FromString(texts));
+  table.AddColumn("last", Column::FromString(texts));
+  for (const char delimiter : {',', ';', '\t'}) {
+    StatusOr<Table> parsed = ParseCsv(ToCsv(table, delimiter), delimiter);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(parsed->num_rows(), texts.size());
+    for (size_t c = 0; c < 2; ++c) {
+      for (size_t r = 0; r < texts.size(); ++r) {
+        EXPECT_EQ(parsed->column(c).GetString(r), texts[r])
+            << "column " << c << " row " << r;
+      }
+    }
+  }
+}
+
 TEST(Csv, Errors) {
   EXPECT_FALSE(ParseCsv("").ok());
   EXPECT_FALSE(ParseCsv("a,b\n1\n").ok());        // Field count mismatch.
@@ -293,14 +320,20 @@ TEST(CsvDifferential, QuirksMatchOracle) {
       "\n\na,b\n1,2\n",           // Leading blank lines are skipped.
       "a\n1\n\n2\n",              // One column: a blank line is NULL.
       "a,b\n1,2\n\n3,4\n",        // Wider: a blank line is skipped.
-      "a,b\n1,2\r\n\r\n3,4\n",    // A CRLF blank line is one NULL field.
+      "a,b\n1,2\r\n\r\n3,4\n",    // A CRLF blank line is skipped too.
       "a\n\"\"\n",                // Quoted empty is "", not NULL.
       "a,b\nx\"y,\"q\"\"\n",      // A quote inside an unquoted field.
       "a\n\"ab\"cd\n",            // Text after the closing quote.
       "a\n\"ab\"c\"d\n",          // ... quotes included.
-      "a\n\"ab\r\"\nx\n",         // A quoted \r before the newline goes.
-      "a\n\"ab\r\"",              // ... as it does at the end of input.
-      "a\n\"ab\r\",\n",           // Not before a delimiter.
+      "a\n\"ab\r\"\nx\n",         // A quoted \r before the newline stays,
+      "a\n\"ab\r\"",              // ... at the end of input,
+      "a\n\"ab\r\",\n",           // ... and before a delimiter.
+      "a\n\"ab\r\"\r\n",          // The unquoted \r after it goes.
+      "a\n\"ab\"c\r\n",           // A tail's \r before the newline goes.
+      "a\n\"ab\"\r\r\n",          // Only one of two.
+      "a\n1\r\n\r\n2\r\n",        // One column: a CRLF blank is NULL.
+      "\r\n\r\na\n1\n",           // Leading CRLF blank lines are skipped.
+      "a,b\n1,2\n\r\r\n3,4\n",    // \r\r\n is not blank.
       "a,b\r\n1,2\r\n",           // CRLF.
       "a,b\n1,2",                 // No trailing newline.
       "a,b\n1,",                  // Trailing delimiter at end of input.

@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/counters.h"
 #include "tests/window_test_util.h"
 
 namespace hwf {
@@ -307,6 +308,140 @@ TEST(WindowConformance, TinyEdgeCases) {
     RunAllCallsAgainstNaive(table, BaseSpec(),
                             "tiny-" + std::to_string(rows));
   }
+}
+
+// LEAD/LAG and FIRST/LAST/NTH_VALUE whose function order is the frame
+// order (no function ORDER BY, or the window's own) are answered
+// positionally, without a selection tree: every frame shape, FILTER,
+// IGNORE NULLS and EXCLUDE must still match the oracle, and no tree level
+// may be built.
+TEST(WindowConformance, LeadLagFrameOrder) {
+  struct Shape {
+    const char* name;
+    WindowSpec spec;
+  };
+  std::vector<Shape> shapes;
+  auto add_shape = [&](const char* name, FrameBound begin, FrameBound end,
+                       FrameExclusion exclusion = FrameExclusion::kNoOthers) {
+    WindowSpec spec = BaseSpec();
+    spec.frame.begin = begin;
+    spec.frame.end = end;
+    spec.frame.exclusion = exclusion;
+    shapes.push_back({name, spec});
+  };
+  add_shape("following-only", FrameBound::Following(5),
+            FrameBound::Following(10));
+  add_shape("empty", FrameBound::Preceding(2), FrameBound::Preceding(4));
+  add_shape("running", FrameBound::UnboundedPreceding(),
+            FrameBound::CurrentRow());
+  add_shape("sliding", FrameBound::Preceding(6), FrameBound::Following(4));
+  add_shape("exclude-current", FrameBound::Preceding(8),
+            FrameBound::Following(8), FrameExclusion::kCurrentRow);
+  add_shape("exclude-group", FrameBound::Preceding(8),
+            FrameBound::Following(8), FrameExclusion::kGroup);
+  add_shape("exclude-ties", FrameBound::UnboundedPreceding(),
+            FrameBound::UnboundedFollowing(), FrameExclusion::kTies);
+  {
+    // Peer-heavy: two ORDER BY values, GROUPS frame with ties excluded.
+    WindowSpec spec = BaseSpec();
+    spec.order_by = {SortKey{kFlag, false, false}};
+    spec.frame.mode = FrameMode::kGroups;
+    spec.frame.begin = FrameBound::Preceding(1);
+    spec.frame.end = FrameBound::CurrentRow();
+    spec.frame.exclusion = FrameExclusion::kTies;
+    shapes.push_back({"peers", spec});
+  }
+
+  struct KindParam {
+    WindowFunctionKind kind;
+    int64_t param;
+  };
+  const KindParam kinds[] = {
+      {WindowFunctionKind::kLead, 0},       {WindowFunctionKind::kLead, 1},
+      {WindowFunctionKind::kLead, 1000},    {WindowFunctionKind::kLag, 0},
+      {WindowFunctionKind::kLag, 1},        {WindowFunctionKind::kLag, 1000},
+      {WindowFunctionKind::kFirstValue, 0}, {WindowFunctionKind::kLastValue, 0},
+      {WindowFunctionKind::kNthValue, 1},   {WindowFunctionKind::kNthValue, 3},
+      {WindowFunctionKind::kNthValue, 1000},
+  };
+  // Variants: plain, explicit window order, FILTER, IGNORE NULLS over a
+  // NULL-heavy argument (many current rows are NULL).
+  enum Variant { kPlain, kExplicitOrder, kFiltered, kIgnoreNulls };
+  const Table table = MakeRandomTable(170, 21);
+  const Table null_heavy = MakeRandomTable(170, 22, /*partitions=*/3,
+                                           /*null_fraction=*/0.45);
+  for (const Shape& shape : shapes) {
+    for (const KindParam& kp : kinds) {
+      for (size_t argument : {kVal, kPrice, kName}) {
+        for (Variant variant :
+             {kPlain, kExplicitOrder, kFiltered, kIgnoreNulls}) {
+          WindowFunctionCall call;
+          call.kind = kp.kind;
+          call.param = kp.param;
+          call.argument = argument;
+          if (variant == kExplicitOrder) call.order_by = shape.spec.order_by;
+          if (variant == kFiltered) call.filter = kFlag;
+          call.ignore_nulls = variant == kIgnoreNulls;
+          const Table& input = variant == kIgnoreNulls ? null_heavy : table;
+          for (int width : {32, 64}) {
+            WindowExecutorOptions options;
+            options.force_index_width = width;
+            const std::string context =
+                std::string(shape.name) + "/" +
+                WindowFunctionKindName(kp.kind) + "(" +
+                std::to_string(kp.param) + ") arg " +
+                std::to_string(argument) + " variant " +
+                std::to_string(variant) + " width " + std::to_string(width);
+            const obs::CounterDeltaTracker delta;
+            ExpectMatchesNaive(input, shape.spec, call, context, options);
+            EXPECT_EQ(delta.DeltaOf(obs::Counter::kMstLevelsBuilt), 0u)
+                << context;
+          }
+        }
+      }
+    }
+  }
+
+  // Without any ORDER BY there is no order to select in: both engines
+  // reject the call.
+  WindowSpec unordered;
+  unordered.partition_by = {kGrp};
+  for (const KindParam& kp : kinds) {
+    WindowFunctionCall call;
+    call.kind = kp.kind;
+    call.param = kp.param;
+    call.argument = kVal;
+    for (WindowEngine engine :
+         {WindowEngine::kMergeSortTree, WindowEngine::kNaive}) {
+      WindowExecutorOptions options;
+      options.engine = engine;
+      StatusOr<Column> result =
+          EvaluateWindowFunction(table, unordered, call, options);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << WindowFunctionKindName(kp.kind);
+    }
+  }
+}
+
+TEST(WindowConformance, LeadLagFrameOrderBuildsNoTree) {
+  const Table table = MakeRandomTable(10000, 23, /*partitions=*/1);
+  WindowSpec spec;
+  spec.order_by = {SortKey{kOrd, true, false}};
+  spec.frame.begin = FrameBound::Preceding(20);
+  spec.frame.end = FrameBound::Following(20);
+  WindowFunctionCall lead;
+  lead.kind = WindowFunctionKind::kLead;
+  lead.argument = kVal;
+  lead.param = 2;
+
+  obs::CounterDeltaTracker delta;
+  ASSERT_TRUE(EvaluateWindowFunction(table, spec, lead).ok());
+  EXPECT_EQ(delta.DeltaOf(obs::Counter::kMstLevelsBuilt), 0u);
+
+  lead.order_by = {SortKey{kVal, true, false}};
+  delta.Rebase();
+  ASSERT_TRUE(EvaluateWindowFunction(table, spec, lead).ok());
+  EXPECT_GT(delta.DeltaOf(obs::Counter::kMstLevelsBuilt), 0u);
 }
 
 TEST(WindowConformance, ForcedIndexWidths) {

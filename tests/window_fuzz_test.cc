@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "obs/counters.h"
 #include "tests/window_test_util.h"
 #include "window/evaluator.h"
 
@@ -326,8 +327,12 @@ TEST(WindowFuzz, SpecialKeysAgreeWithOracle) {
       {}, {kSpD}, {kSpS}, {kSpD, kSpI}, {kSpS, kSpI}};
   const size_t order_columns[] = {kSpD, kSpI, kSpS};
   Pcg32 rng(20261019);
+  // A second stream for the frame-order calls, so the grid above draws the
+  // same tables, specs and calls as without them.
+  Pcg32 order_rng(20261020);
   size_t checked = 0;
   size_t range_checked = 0;
+  uint64_t flipped_order_levels = 0;
   for (size_t p = 0; p < partitionings.size(); ++p) {
     for (size_t column : order_columns) {
       for (size_t combo = 0; combo < 4; ++combo) {
@@ -361,11 +366,47 @@ TEST(WindowFuzz, SpecialKeysAgreeWithOracle) {
           ++checked;
           range_checked += range ? 1 : 0;
         }
+        // A value function or LEAD/LAG whose function ORDER BY is the
+        // window's own takes the positional path and builds no tree; the
+        // same call with one key's direction or NULL placement flipped
+        // keeps the selection tree.
+        static const WindowFunctionKind kSelectKinds[] = {
+            WindowFunctionKind::kLead, WindowFunctionKind::kLag,
+            WindowFunctionKind::kFirstValue, WindowFunctionKind::kLastValue,
+            WindowFunctionKind::kNthValue};
+        WindowFunctionCall call;
+        call.kind = kSelectKinds[order_rng.Bounded(std::size(kSelectKinds))];
+        call.argument = order_columns[order_rng.Bounded(3)];
+        call.ignore_nulls = order_rng.Bounded(2) == 0;
+        if (order_rng.Bounded(4) == 0) call.filter = kSpFlag;
+        call.param = order_rng.Bounded(4) +
+                     (call.kind == WindowFunctionKind::kNthValue ? 1 : 0);
+        call.order_by = spec.order_by;
+        {
+          SCOPED_TRACE(where + " frame order: " + Describe(spec, call));
+          const obs::CounterDeltaTracker delta;
+          ExpectMatchesNaive(table, spec, call, where + " frame order");
+          EXPECT_EQ(delta.DeltaOf(obs::Counter::kMstLevelsBuilt), 0u);
+        }
+        SortKey& flip = call.order_by[order_rng.Bounded(call.order_by.size())];
+        if (order_rng.Bounded(2)) {
+          flip.ascending = !flip.ascending;
+        } else {
+          flip.nulls_first = !flip.nulls_first;
+        }
+        {
+          SCOPED_TRACE(where + " flipped order: " + Describe(spec, call));
+          const obs::CounterDeltaTracker delta;
+          ExpectMatchesNaive(table, spec, call, where + " flipped order");
+          flipped_order_levels +=
+              delta.DeltaOf(obs::Counter::kMstLevelsBuilt);
+        }
       }
     }
   }
   EXPECT_GT(checked, 150u);
   EXPECT_GT(range_checked, 20u);
+  EXPECT_GT(flipped_order_levels, 0u);
 }
 
 }  // namespace
