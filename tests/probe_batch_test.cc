@@ -453,13 +453,19 @@ TEST_F(WindowBatchEquivalenceTest, PercentileContWithFilter) {
   ExpectMatchesNaive(FramedSpec(500, 0), call, "percentile_cont");
 }
 
+// The value functions and LEAD/LAG select through the tree only when
+// their function ORDER BY differs from the window's; each such case is
+// repeated in the frame order, which is answered positionally.
 TEST_F(WindowBatchEquivalenceTest, NthValueIgnoreNulls) {
   WindowFunctionCall call;
   call.kind = WindowFunctionKind::kNthValue;
   call.param = 3;
   call.argument = kVal;
+  call.order_by.push_back(SortKey{kPrice, true, true});
   call.ignore_nulls = true;
   ExpectMatchesNaive(FramedSpec(100, 100), call, "nth_value");
+  call.order_by.clear();
+  ExpectMatchesNaive(FramedSpec(100, 100), call, "nth_value frame order");
 }
 
 TEST_F(WindowBatchEquivalenceTest, LeadWithExclusion) {
@@ -467,9 +473,12 @@ TEST_F(WindowBatchEquivalenceTest, LeadWithExclusion) {
   call.kind = WindowFunctionKind::kLead;
   call.param = 2;
   call.argument = kPrice;
+  call.order_by.push_back(SortKey{kVal, false, true});
   WindowSpec spec = FramedSpec(300, 10);
   spec.frame.exclusion = FrameExclusion::kGroup;
   ExpectMatchesNaive(spec, call, "lead");
+  call.order_by.clear();
+  ExpectMatchesNaive(spec, call, "lead frame order");
 }
 
 TEST_F(WindowBatchEquivalenceTest, CountDistinctWithExclusion) {

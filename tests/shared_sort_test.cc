@@ -4,6 +4,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mst/tree_cache.h"
@@ -208,10 +209,12 @@ struct SpecAndCalls {
 };
 
 WindowFunctionCall Call(WindowFunctionKind kind,
-                        std::optional<size_t> argument = std::nullopt) {
+                        std::optional<size_t> argument = std::nullopt,
+                        std::vector<SortKey> order_by = {}) {
   WindowFunctionCall call;
   call.kind = kind;
   call.argument = argument;
+  call.order_by = std::move(order_by);
   return call;
 }
 
@@ -413,6 +416,8 @@ constexpr size_t kSpW = 4;
 /// Specs keyed on NaNs, +-inf, +-0.0, INT64_MIN/MAX, the empty string and
 /// NULLs: partitioned by a double, a string and two columns, ordered in
 /// every direction and NULL placement, with prefix and exact consumers.
+/// FIRST_VALUE and LAG appear in the frame order (positional) and with a
+/// function ORDER BY of their own (selection tree).
 std::vector<SpecAndCalls> SpecialKeyWorkload() {
   std::vector<SpecAndCalls> workload;
   workload.push_back({Spec({kSpD}, {SortKey{kSpD, true, false}}),
@@ -427,10 +432,14 @@ std::vector<SpecAndCalls> SpecialKeyWorkload() {
                       {Call(WindowFunctionKind::kMedian, kSpW)}});
   workload.push_back({Spec({kSpS}, {SortKey{kSpI, true, true}}),
                       {Call(WindowFunctionKind::kFirstValue, kSpV),
+                       Call(WindowFunctionKind::kFirstValue, kSpV,
+                            {SortKey{kSpW, false, true}}),
                        Call(WindowFunctionKind::kDenseRank)}});
   workload.push_back({Spec({kSpD, kSpI}, {SortKey{kSpS, false, false},
                                           SortKey{kSpD, false, true}}),
-                      {Call(WindowFunctionKind::kLag, kSpV)}});
+                      {Call(WindowFunctionKind::kLag, kSpV),
+                       Call(WindowFunctionKind::kLag, kSpV,
+                            {SortKey{kSpD, true, false}})}});
   workload.push_back({Spec({}, {SortKey{kSpI, false, false}}),
                       {Call(WindowFunctionKind::kCumeDist)}});
   return workload;

@@ -83,6 +83,7 @@ struct RunOutcome {
   uint64_t levels_evicted = 0;
   uint64_t external_runs = 0;
   size_t peak_reserved = 0;
+  uint64_t levels_built = 0;
 };
 
 RunOutcome RunQuery(const Table& table, const WindowSpec& spec,
@@ -102,7 +103,9 @@ RunOutcome RunQuery(const Table& table, const WindowSpec& spec,
                          before[obs::Counter::kMemMstLevelsEvicted],
                      after[obs::Counter::kMemExternalSortRuns] -
                          before[obs::Counter::kMemExternalSortRuns],
-                     profile.peak_reserved_bytes()};
+                     profile.peak_reserved_bytes(),
+                     after[obs::Counter::kMstLevelsBuilt] -
+                         before[obs::Counter::kMstLevelsBuilt]};
   return outcome;
 }
 
@@ -179,26 +182,40 @@ TEST(SpillDifferential, PeakReservedStaysNearBudget) {
 TEST(SpillDifferential, FuzzedFramesAndFunctionsMatchUnlimited) {
   // Sweep the function families whose probe paths read spilled levels:
   // Select (percentile / value functions / lead-lag), CountLess (rank),
-  // and AggregateLess (distinct aggregates via the annotated tree).
+  // and AggregateLess (distinct aggregates via the annotated tree). The
+  // value functions and LEAD carry a function ORDER BY that differs from
+  // the window's, so they select through the tree; the last cases take
+  // the frame order and are answered positionally, without a tree.
   struct Case {
     WindowFunctionKind kind;
     size_t argument;
+    std::vector<SortKey> order_by;
   };
   const Case kCases[] = {
-      {WindowFunctionKind::kMedian, kPrice},
-      {WindowFunctionKind::kPercentileDisc, kVal},
-      {WindowFunctionKind::kRank, kVal},
-      {WindowFunctionKind::kCountDistinct, kVal},
-      {WindowFunctionKind::kSumDistinct, kPrice},
-      {WindowFunctionKind::kFirstValue, kPrice},
-      {WindowFunctionKind::kNthValue, kVal},
-      {WindowFunctionKind::kLead, kPrice},
+      {WindowFunctionKind::kMedian, kPrice, {}},
+      {WindowFunctionKind::kPercentileDisc, kVal, {}},
+      {WindowFunctionKind::kRank, kVal, {}},
+      {WindowFunctionKind::kCountDistinct, kVal, {}},
+      {WindowFunctionKind::kSumDistinct, kPrice, {}},
+      {WindowFunctionKind::kFirstValue, kPrice, {SortKey{kVal, true, true}}},
+      {WindowFunctionKind::kNthValue, kVal, {SortKey{kPrice, false, true}}},
+      {WindowFunctionKind::kLead, kPrice, {SortKey{kVal, false, false}}},
+      {WindowFunctionKind::kLastValue, kVal, {}},
+      {WindowFunctionKind::kNthValue, kPrice, {}},
+      {WindowFunctionKind::kLag, kVal, {}},
   };
+  constexpr size_t kNumCases = sizeof(kCases) / sizeof(kCases[0]);
 
   Pcg32 rng(20260806);
   uint64_t total_spill_bytes = 0;
-  for (int round = 0; round < 24; ++round) {
-    const Case& c = kCases[round % (sizeof(kCases) / sizeof(kCases[0]))];
+  uint64_t selection_levels_evicted = 0;
+  for (size_t round = 0; round < 3 * kNumCases; ++round) {
+    const Case& c = kCases[round % kNumCases];
+    const bool selects = c.kind == WindowFunctionKind::kFirstValue ||
+                         c.kind == WindowFunctionKind::kLastValue ||
+                         c.kind == WindowFunctionKind::kNthValue ||
+                         c.kind == WindowFunctionKind::kLead ||
+                         c.kind == WindowFunctionKind::kLag;
     const size_t rows = 6000 + rng.Bounded(6000);
     Table table = MakeRandomTable(rows, /*seed=*/900 + round,
                                   /*partitions=*/1 + rng.Bounded(2),
@@ -220,6 +237,7 @@ TEST(SpillDifferential, FuzzedFramesAndFunctionsMatchUnlimited) {
     WindowFunctionCall call;
     call.kind = c.kind;
     call.argument = c.argument;
+    call.order_by = c.order_by;
     call.fraction = 0.25 + 0.5 * rng.NextDouble();
     call.param = 1 + rng.Bounded(4);
     if (rng.Bounded(3) == 0) call.filter = kFlag;
@@ -237,10 +255,18 @@ TEST(SpillDifferential, FuzzedFramesAndFunctionsMatchUnlimited) {
     ExpectColumnsIdentical(limited.column, unlimited.column, context.str());
     if (HasFatalFailure()) return;
     total_spill_bytes += limited.spill_bytes_written;
+    if (selects && c.order_by.empty()) {
+      EXPECT_EQ(limited.levels_built, 0u) << context.str();
+    } else if (selects) {
+      EXPECT_GT(limited.levels_built, 0u) << context.str();
+      selection_levels_evicted += limited.levels_evicted;
+    }
   }
   // The tight budgets must actually have engaged the spill machinery over
-  // the sweep (individual rounds may stay resident).
+  // the sweep (individual rounds may stay resident), also for the value
+  // functions and LEAD that select through the tree.
   EXPECT_GT(total_spill_bytes, 0u);
+  EXPECT_GT(selection_levels_evicted, 0u);
 }
 
 }  // namespace
