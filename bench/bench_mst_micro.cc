@@ -1,6 +1,6 @@
 // Micro-benchmarks of the merge sort tree primitives under
 // google-benchmark: build and the batched count / select probes per tree
-// size, plus the
+// size, the DENSE_RANK range tree's build and probe, plus the
 // preprocessing steps (Algorithm 1 and permutation arrays).
 //
 // Extra flag (consumed before google-benchmark sees the command line):
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "mst/dense_rank_tree.h"
 #include "mst/merge_sort_tree.h"
 #include "mst/permutation.h"
 #include "mst/prev_index.h"
@@ -111,6 +112,55 @@ void BM_SelectBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(kStream) * state.iterations());
 }
 BENCHMARK(BM_SelectBatch)->Range(1 << 14, 1 << 22);
+
+// DENSE_RANK's range tree on one perfbench-shaped partition: 10K rows,
+// 500 distinct codes, `ROWS 100 PRECEDING` frames (101 rows).
+constexpr size_t kDenseRankRows = 10000;
+constexpr uint32_t kDenseRankCodes = 500;
+constexpr size_t kDenseRankFrame = 101;
+
+std::vector<uint32_t> DenseRankCodes() {
+  Pcg32 rng(kDenseRankRows);
+  std::vector<uint32_t> codes(kDenseRankRows);
+  for (auto& c : codes) c = rng.Bounded(kDenseRankCodes);
+  return codes;
+}
+
+void BM_DenseRankBuild(benchmark::State& state) {
+  const std::vector<uint32_t> codes = DenseRankCodes();
+  ThreadPool single(0);
+  for (auto _ : state) {
+    auto tree = DenseRankTree<uint32_t>::Build(codes, {}, single);
+    benchmark::DoNotOptimize(tree.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(codes.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_DenseRankBuild);
+
+// One query per row: distinct codes below the row's code in its frame.
+// Items processed = rows answered.
+void BM_DenseRankProbe(benchmark::State& state) {
+  const std::vector<uint32_t> codes = DenseRankCodes();
+  ThreadPool single(0);
+  const auto tree = DenseRankTree<uint32_t>::Build(codes, {}, single);
+  std::vector<DenseRankTree<uint32_t>::DistinctQuery> queries(codes.size());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    const size_t lo = i + 1 > kDenseRankFrame ? i + 1 - kDenseRankFrame : 0;
+    queries[i] = {lo, i + 1, codes[i]};
+  }
+  std::vector<size_t> out(queries.size());
+  for (auto _ : state) {
+    tree.CountDistinctLessBatch(queries, kProbeGroupSize, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(queries.size()) *
+                          state.iterations());
+  state.counters["bytes_per_row"] =
+      static_cast<double>(tree.MemoryUsageBytes()) / codes.size();
+}
+BENCHMARK(BM_DenseRankProbe);
 
 void BM_PrevIndices(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

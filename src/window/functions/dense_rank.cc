@@ -33,8 +33,9 @@ struct DenseRankArtifact {
     result.remap = BuildCallRemap(view, call, /*drop_null_args=*/false);
     const size_t m = result.remap.num_surviving();
     const std::vector<SortKey> order = EffectiveOrder(*view.spec, call);
-    // Dense-code construction is Algorithm 1 preprocessing (kPreprocess);
-    // kProbe then measures the per-row distinct counts only.
+    // Dense-code construction is Algorithm 1 preprocessing (kPreprocess)
+    // and the range tree times itself as kTreeBuild; kProbe then measures
+    // the per-row distinct counts only.
     std::vector<Index> filtered_codes(m);
     {
       obs::ScopedPhaseTimer timer(view.options->profile,
@@ -98,7 +99,7 @@ Status EvalDenseRankT(const PartitionView& view,
       [&](size_t lo, size_t hi) {
         RowRange ranges[FrameRanges::kMaxRanges];
         // Each chunk's distinct counts run through the range tree's
-        // grouped kernel (per-level batched MST counts).
+        // lockstep kernel (the chunk's queries descend the planes together).
         std::vector<typename DenseRankTree<Index>::DistinctQuery> queries;
         std::vector<size_t> rows;
         std::vector<size_t> smaller;

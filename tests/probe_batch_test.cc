@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <tuple>
@@ -22,7 +21,6 @@
 #include "mem/memory_budget.h"
 #include "mst/aggregate_ops.h"
 #include "mst/annotated_mst.h"
-#include "mst/dense_rank_tree.h"
 #include "mst/merge_sort_tree.h"
 #include "obs/counters.h"
 #include "tests/mst_test_util.h"
@@ -247,34 +245,6 @@ TEST_P(ProbeBatchParamTest, AggregateLessBatchMatchesBruteForceSum) {
           << "query " << q << " group " << group_size << ": " << *grouped[q]
           << " vs " << *reference[q];
     }
-  }
-}
-
-TEST_P(ProbeBatchParamTest, DenseRankBatchMatchesBruteForce) {
-  const auto [n, fanout, sampling, cascading, batch] = GetParam();
-  const MergeSortTreeOptions options = TreeOptions();
-  const auto codes =
-      RandomKeys<uint32_t>(n, static_cast<uint32_t>(n / 4 + 2), n * 59 + 3);
-  const auto tree = DenseRankTree<uint32_t>::Build(
-      std::span<const uint32_t>(codes), options);
-
-  Pcg32 rng(n * 61 + batch);
-  std::vector<DenseRankTree<uint32_t>::DistinctQuery> queries;
-  for (int q = 0; q < 250; ++q) {
-    size_t lo = rng.Bounded(static_cast<uint32_t>(n + 1));
-    size_t hi = rng.Bounded(static_cast<uint32_t>(n + 1));
-    if (lo > hi) std::swap(lo, hi);
-    queries.push_back(
-        {lo, hi, codes[rng.Bounded(static_cast<uint32_t>(n))]});
-  }
-  std::vector<size_t> batched(queries.size());
-  tree.CountDistinctLessBatch(queries, batch, batched.data());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    std::set<uint32_t> distinct;
-    for (size_t i = queries[q].pos_lo; i < queries[q].pos_hi; ++i) {
-      if (codes[i] < queries[q].code) distinct.insert(codes[i]);
-    }
-    ASSERT_EQ(batched[q], distinct.size()) << "query " << q;
   }
 }
 

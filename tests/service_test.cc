@@ -441,6 +441,28 @@ TEST(QueryService, CacheHitSkipsSortAndTreeBuild) {
                      "cache hit result");
 }
 
+TEST(QueryService, RepeatedDenseRankBuildsNoLevels) {
+  QueryService svc;  // The default cache holds the range tree easily.
+  svc.RegisterTable("t", test::MakeRandomTable(20000, 19, 4));
+  const std::string sql =
+      "select dense_rank(order by val) over (partition by grp order by ord "
+      "rows between 100 preceding and current row) from t";
+
+  obs::CounterDeltaTracker delta;
+  StatusOr<QueryResult> cold = svc.Query(sql);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_GT(delta.DeltaOf(obs::Counter::kMstLevelsBuilt), 0u);
+  EXPECT_GT(cold->profile->phase_seconds(obs::ProfilePhase::kTreeBuild), 0.0);
+
+  delta.Rebase();
+  StatusOr<QueryResult> warm = svc.Query(sql);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(delta.DeltaOf(obs::Counter::kMstLevelsBuilt), 0u);
+  EXPECT_EQ(warm->profile->phase_seconds(obs::ProfilePhase::kTreeBuild), 0.0);
+  ExpectBitIdentical(warm->table.column(0), cold->table.column(0),
+                     "cached dense_rank");
+}
+
 TEST(QueryService, ReRegisteringATableInvalidatesItsCacheKey) {
   QueryService svc;
   svc.RegisterTable("t", test::MakeRandomTable(5000, 17, 1));

@@ -459,6 +459,15 @@ TEST(WindowConformance, ForcedIndexWidths) {
     call.argument = kPrice;
     ExpectMatchesNaive(table, spec, call,
                        "width-median-" + std::to_string(width), options);
+    WindowFunctionCall dense_rank;
+    dense_rank.kind = WindowFunctionKind::kDenseRank;
+    dense_rank.order_by = {SortKey{kVal, true, false}};
+    ExpectMatchesNaive(table, spec, dense_rank,
+                       "width-dense-rank-" + std::to_string(width), options);
+    dense_rank.filter = kFlag;
+    ExpectMatchesNaive(table, spec, dense_rank,
+                       "width-dense-rank-filter-" + std::to_string(width),
+                       options);
   }
 }
 
